@@ -46,11 +46,9 @@ ThreadPool::ThreadPool(size_t threads)
   }
 }
 
-ThreadPool::ThreadPool(size_t threads, size_t max_queue,
-                       OverflowPolicy policy)
+ThreadPool::ThreadPool(size_t threads, size_t max_queue)
     : threads_(threads == 0 ? DefaultThreadCount() : threads),
-      max_queue_(max_queue == 0 ? 1 : max_queue),
-      policy_(policy) {
+      max_queue_(max_queue == 0 ? 1 : max_queue) {
   // A bounded pool always spawns workers — a bound over inline execution
   // would be meaningless (the "queue" would never hold anything).
   workers_.reserve(threads_);
@@ -101,19 +99,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (max_queue_ != 0 && queue_.size() >= max_queue_) {
-      if (policy_ == OverflowPolicy::kInline) {
-        // Degrade to caller execution rather than queueing past the
-        // bound; the task still runs exactly once.
-        lock.unlock();
-        auto start = std::chrono::steady_clock::now();
-        task();
-        auto elapsed = std::chrono::steady_clock::now() - start;
-        Metrics().busy_us->Add(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                .count()));
-        Metrics().tasks_executed->Increment();
-        return;
-      }
       space_.wait(lock, [this] {
         return stopping_ || queue_.size() < max_queue_;
       });

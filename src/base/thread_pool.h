@@ -30,12 +30,6 @@ namespace genalg {
 ///    their serial runs).
 class ThreadPool {
  public:
-  /// What Submit does when a bounded queue is full.
-  enum class OverflowPolicy {
-    kBlock,   ///< Submit waits for a slot (back-pressure).
-    kInline,  ///< Submit runs the task on the calling thread (degrade).
-  };
-
   /// Creates a pool running `threads` workers; 0 means
   /// DefaultThreadCount(). A size of 1 creates no threads.
   explicit ThreadPool(size_t threads = 0);
@@ -43,13 +37,13 @@ class ThreadPool {
   /// Bounded-queue mode: at most `max_queue` tasks may be pending (must
   /// be >= 1). TrySubmit reports rejection instead of queueing past the
   /// bound — the admission-control primitive of the serving layer — and
-  /// Submit applies `policy`. A bounded pool always spawns workers, even
-  /// at size 1: the bound is only meaningful when submission is
-  /// asynchronous, so the size-1 inline shortcut applies to unbounded
-  /// pools only. ParallelFor is exempt from the bound: its helper tasks
-  /// are internal work the calling thread also executes, not external
-  /// admissions.
-  ThreadPool(size_t threads, size_t max_queue, OverflowPolicy policy);
+  /// Submit waits for a slot (back-pressure). A bounded pool always
+  /// spawns workers, even at size 1: the bound is only meaningful when
+  /// submission is asynchronous, so the size-1 inline shortcut applies to
+  /// unbounded pools only. ParallelFor is exempt from the bound: its
+  /// helper tasks are internal work the calling thread also executes, not
+  /// external admissions.
+  ThreadPool(size_t threads, size_t max_queue);
 
   /// Drains outstanding tasks and joins the workers.
   ~ThreadPool();
@@ -64,9 +58,8 @@ class ThreadPool {
 
   /// Enqueues one task for asynchronous execution (inline when the pool
   /// is unbounded with size() == 1). Fire-and-forget: use ParallelFor
-  /// when completion must be awaited. On a full bounded queue the
-  /// overflow policy decides: kBlock waits for a slot, kInline runs the
-  /// task on the calling thread. Either way the task always executes.
+  /// when completion must be awaited. On a full bounded queue Submit
+  /// waits for a slot; the task always executes.
   void Submit(std::function<void()> task);
 
   /// Bounded pools only (always true on unbounded ones): enqueues the
@@ -105,7 +98,6 @@ class ThreadPool {
 
   size_t threads_;
   size_t max_queue_ = 0;  // 0 = unbounded.
-  OverflowPolicy policy_ = OverflowPolicy::kBlock;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mutex_;

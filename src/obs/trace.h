@@ -96,10 +96,6 @@ class SpanCollector {
   const std::vector<std::unique_ptr<SpanNode>>& roots() const {
     return roots_;
   }
-  /// Transfers ownership of the captured roots to the caller.
-  std::vector<std::unique_ptr<SpanNode>> TakeRoots() {
-    return std::move(roots_);
-  }
 
  private:
   friend class Span;

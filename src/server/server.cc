@@ -96,7 +96,7 @@ Status GenAlgServer::Start() {
   pool_ = std::make_unique<ThreadPool>(
       options_.worker_threads == 0 ? ThreadPool::DefaultThreadCount()
                                    : options_.worker_threads,
-      options_.admission_queue_depth, ThreadPool::OverflowPolicy::kBlock);
+      options_.admission_queue_depth);
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
@@ -424,11 +424,6 @@ void GenAlgServer::Shutdown() {
 
   // 5. Retire the executor pool (drained above, so this is instant).
   pool_.reset();
-}
-
-void GenAlgServer::RemoveSession(uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  sessions_.erase(session_id);
 }
 
 }  // namespace genalg::server

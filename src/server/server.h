@@ -105,8 +105,6 @@ class GenAlgServer {
   void SendError(const std::shared_ptr<Session>& session, uint64_t query_id,
                  net::ErrorCode code, const std::string& message);
 
-  void RemoveSession(uint64_t session_id);
-
   /// Blocks until inflight_ == 0 (the drain barrier of Shutdown).
   void WaitForDrain();
 

@@ -23,6 +23,29 @@ Result<seq::NucleotideSequence> DatumToSequence(const Adapter& adapter,
   return value.AsNucSeq();
 }
 
+// The k-mer index word for windows holding an ambiguity code. contains()
+// lets a subject N match any pattern base, so a row with such a window
+// is a candidate for every probe. Packed k-mers (k <= 31) use at most 62
+// bits and never collide with it.
+constexpr uint64_t kAmbiguousWindow = ~uint64_t{0};
+
+// The distinct words a k-mer index posts a nucseq cell under; none for
+// NULL.
+Result<std::set<uint64_t>> DistinctKmers(const Adapter& adapter,
+                                         const Datum& cell, size_t k) {
+  std::set<uint64_t> words;
+  if (cell.is_null()) return words;
+  GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
+                          DatumToSequence(adapter, cell));
+  for (size_t pos = 0; pos + k <= sequence.size(); ++pos) {
+    uint64_t packed;
+    words.insert(index::PackKmer(sequence, pos, k, &packed)
+                     ? packed
+                     : kAmbiguousWindow);
+  }
+  return words;
+}
+
 bool IsAggregateName(std::string_view name) {
   return name == "count" || name == "sum" || name == "avg" ||
          name == "min" || name == "max";
@@ -44,6 +67,54 @@ void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
     return;
   }
   out->push_back(e);
+}
+
+// The Int->Real widening a REAL column applies to the values stored in
+// it (and so to the constants its B+-tree is probed with).
+Datum WidenForColumn(const ColumnType& type, Datum value) {
+  if (type.kind == DatumKind::kReal && value.kind() == DatumKind::kInt) {
+    return Datum::Real(static_cast<double>(*value.AsInt()));
+  }
+  return value;
+}
+
+// Widens each cell of a row about to be stored and checks it against its
+// column's type. Every write path (INSERT, UPDATE) goes through here, so
+// stored values and B+-tree keys always carry the column's kind.
+Status ConformRow(const TableSchema& schema, Row* row) {
+  for (size_t i = 0; i < row->size(); ++i) {
+    const ColumnInfo& col = schema.columns[i];
+    (*row)[i] = WidenForColumn(col.type, std::move((*row)[i]));
+    if (!col.type.Accepts((*row)[i])) {
+      return Status::InvalidArgument("column '" + col.name + "' of type " +
+                                     col.type.ToString() +
+                                     " rejects value " + (*row)[i].ToString());
+    }
+  }
+  return Status::OK();
+}
+
+// Posts `cell` under each of its distinct k-mers: the per-row step of
+// both insert maintenance and the index backfill.
+Status AddKmerPostings(const Adapter& adapter, const Datum& cell, size_t k,
+                       RecordId rid,
+                       std::map<uint64_t, std::vector<RecordId>>* postings) {
+  GENALG_ASSIGN_OR_RETURN(std::set<uint64_t> words,
+                          DistinctKmers(adapter, cell, k));
+  for (uint64_t word : words) (*postings)[word].push_back(rid);
+  return Status::OK();
+}
+
+// Hands `visit`, a Status(RecordId, Row) callable, every live row of
+// `heap`; stops at the first error.
+template <typename Visit>
+Status ForEachRow(const HeapFile& heap, Visit&& visit) {
+  return heap.Scan(
+      [&visit](RecordId rid, const uint8_t* data, size_t size) -> Status {
+        BytesReader r(data, size);
+        GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
+        return visit(rid, std::move(row));
+      });
 }
 
 // SQL LIKE: '%' matches any run, '_' any single character.
@@ -115,6 +186,17 @@ Result<const Database::TableData*> Database::GetTable(
   return it->second.get();
 }
 
+Result<Database::TableData*> Database::GetWritableTable(std::string_view name,
+                                                       bool privileged) {
+  GENALG_ASSIGN_OR_RETURN(TableData * table, GetTable(name));
+  if (table->schema.space == Space::kPublic && !privileged) {
+    return Status::FailedPrecondition(
+        "table '" + std::string(name) +
+        "' is in the public space and read-only for this session");
+  }
+  return table;
+}
+
 Status Database::CreateTable(const std::string& name,
                              std::vector<ColumnInfo> columns, Space space,
                              bool privileged) {
@@ -161,11 +243,7 @@ Status Database::CreateTableImpl(const std::string& name,
 Status Database::DropTable(const std::string& name, bool privileged) {
   GENALG_ASSIGN_OR_RETURN(bool implicit, MaybeBeginImplicit());
   Status dropped = [&]() -> Status {
-    GENALG_ASSIGN_OR_RETURN(TableData * table, GetTable(name));
-    if (table->schema.space == Space::kPublic && !privileged) {
-      return Status::FailedPrecondition("cannot drop public table '" + name +
-                                        "'");
-    }
+    GENALG_RETURN_IF_ERROR(GetWritableTable(name, privileged).status());
     tables_.erase(name);
     return Status::OK();
   }();
@@ -183,45 +261,31 @@ std::vector<std::string> Database::ListTables() const {
   return out;
 }
 
-Status Database::MaintainIndexesOnInsert(TableData* table, const Row& row,
-                                         RecordId rid) {
+Status Database::StoreRow(TableData* table, const Row& row) {
+  BytesWriter w;
+  SerializeRow(row, &w);
+  GENALG_ASSIGN_OR_RETURN(RecordId rid, table->heap->Insert(w.data()));
   for (auto& btree : table->btrees) {
     btree->tree.Insert(row[btree->column_index].OrderKey(), rid);
   }
   for (auto& kmer : table->kmers) {
-    const Datum& cell = row[kmer->column_index];
-    if (cell.is_null()) continue;
-    GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
-                            DatumToSequence(*adapter_, cell));
-    std::set<uint64_t> words;
-    for (size_t pos = 0; pos + kmer->k <= sequence.size(); ++pos) {
-      uint64_t packed;
-      if (index::PackKmer(sequence, pos, kmer->k, &packed)) {
-        words.insert(packed);
-      }
-    }
-    for (uint64_t word : words) kmer->postings[word].push_back(rid);
+    GENALG_RETURN_IF_ERROR(AddKmerPostings(*adapter_,
+                                           row[kmer->column_index], kmer->k,
+                                           rid, &kmer->postings));
   }
   return Status::OK();
 }
 
-Status Database::MaintainIndexesOnDelete(TableData* table, const Row& row,
-                                         RecordId rid) {
+Status Database::EraseRow(TableData* table, const Row& row,
+                          RecordId rid) {
+  GENALG_RETURN_IF_ERROR(table->heap->Delete(rid));
   for (auto& btree : table->btrees) {
     btree->tree.Remove(row[btree->column_index].OrderKey(), rid);
   }
   for (auto& kmer : table->kmers) {
-    const Datum& cell = row[kmer->column_index];
-    if (cell.is_null()) continue;
-    GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
-                            DatumToSequence(*adapter_, cell));
-    std::set<uint64_t> words;
-    for (size_t pos = 0; pos + kmer->k <= sequence.size(); ++pos) {
-      uint64_t packed;
-      if (index::PackKmer(sequence, pos, kmer->k, &packed)) {
-        words.insert(packed);
-      }
-    }
+    GENALG_ASSIGN_OR_RETURN(
+        std::set<uint64_t> words,
+        DistinctKmers(*adapter_, row[kmer->column_index], kmer->k));
     for (uint64_t word : words) {
       auto it = kmer->postings.find(word);
       if (it == kmer->postings.end()) continue;
@@ -242,44 +306,24 @@ Status Database::InsertRow(const std::string& table_name, Row row,
 
 Status Database::InsertRowImpl(const std::string& table_name, Row row,
                                bool privileged) {
-  GENALG_ASSIGN_OR_RETURN(TableData * table, GetTable(table_name));
-  if (table->schema.space == Space::kPublic && !privileged) {
-    return Status::FailedPrecondition(
-        "table '" + table_name +
-        "' is in the public space and read-only for this session");
-  }
+  GENALG_ASSIGN_OR_RETURN(TableData * table,
+                          GetWritableTable(table_name, privileged));
   if (row.size() != table->schema.columns.size()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(row.size()) + " cells, table '" +
         table_name + "' has " +
         std::to_string(table->schema.columns.size()) + " columns");
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    const ColumnInfo& col = table->schema.columns[i];
-    if (col.type.kind == DatumKind::kReal &&
-        row[i].kind() == DatumKind::kInt) {
-      row[i] = Datum::Real(static_cast<double>(*row[i].AsInt()));
-    }
-    if (!col.type.Accepts(row[i])) {
-      return Status::InvalidArgument("column '" + col.name + "' of type " +
-                                     col.type.ToString() +
-                                     " rejects value " + row[i].ToString());
-    }
-  }
-  BytesWriter w;
-  SerializeRow(row, &w);
-  GENALG_ASSIGN_OR_RETURN(RecordId rid, table->heap->Insert(w.data()));
-  return MaintainIndexesOnInsert(table, row, rid);
+  GENALG_RETURN_IF_ERROR(ConformRow(table->schema, &row));
+  return StoreRow(table, row);
 }
 
 Result<std::vector<Row>> Database::ScanTable(
     const std::string& table_name) const {
   GENALG_ASSIGN_OR_RETURN(const TableData* table, GetTable(table_name));
   std::vector<Row> rows;
-  GENALG_RETURN_IF_ERROR(table->heap->Scan(
-      [&rows](RecordId, const uint8_t* data, size_t size) -> Status {
-        BytesReader r(data, size);
-        GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
+  GENALG_RETURN_IF_ERROR(
+      ForEachRow(*table->heap, [&rows](RecordId, Row row) -> Status {
         rows.push_back(std::move(row));
         return Status::OK();
       }));
@@ -307,11 +351,8 @@ Status Database::CreateBTreeIndexImpl(const std::string& table_name,
   idx->column = column;
   idx->column_index = col_idx;
   // Backfill from existing rows.
-  GENALG_RETURN_IF_ERROR(table->heap->Scan(
-      [&idx, col_idx](RecordId rid, const uint8_t* data,
-                      size_t size) -> Status {
-        BytesReader r(data, size);
-        GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
+  GENALG_RETURN_IF_ERROR(ForEachRow(
+      *table->heap, [&idx, col_idx](RecordId rid, Row row) -> Status {
         idx->tree.Insert(row[col_idx].OrderKey(), rid);
         return Status::OK();
       }));
@@ -349,32 +390,12 @@ Status Database::CreateKmerIndexImpl(const std::string& table_name,
   idx->column = column;
   idx->column_index = col_idx;
   idx->k = k;
-  KmerIndexData* raw = idx.get();
+  GENALG_RETURN_IF_ERROR(ForEachRow(
+      *table->heap, [this, &idx, col_idx, k](RecordId rid, Row row) {
+        return AddKmerPostings(*adapter_, row[col_idx], k, rid,
+                               &idx->postings);
+      }));
   table->kmers.push_back(std::move(idx));
-  // Backfill.
-  Status backfill = table->heap->Scan(
-      [this, raw, col_idx](RecordId rid, const uint8_t* data,
-                           size_t size) -> Status {
-        BytesReader r(data, size);
-        GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
-        const Datum& cell = row[col_idx];
-        if (cell.is_null()) return Status::OK();
-        GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
-                                DatumToSequence(*adapter_, cell));
-        std::set<uint64_t> words;
-        for (size_t pos = 0; pos + raw->k <= sequence.size(); ++pos) {
-          uint64_t packed;
-          if (index::PackKmer(sequence, pos, raw->k, &packed)) {
-            words.insert(packed);
-          }
-        }
-        for (uint64_t word : words) raw->postings[word].push_back(rid);
-        return Status::OK();
-      });
-  if (!backfill.ok()) {
-    table->kmers.pop_back();
-    return backfill;
-  }
   return Status::OK();
 }
 
@@ -405,61 +426,8 @@ class Database::Executor {
     }
     GENALG_ASSIGN_OR_RETURN(TableData * table,
                             db_->GetTable(stmt.tables[0].name));
-    // Access path.
-    std::string access = "sequential scan of " + table->schema.name;
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(stmt.where.get(), &conjuncts);
-    if (stmt.tables.size() == 1) {
-      for (const Expr* conjunct : conjuncts) {
-        if (conjunct->kind == Expr::Kind::kBinary &&
-            (conjunct->op == "=" || conjunct->op == ">=" ||
-             conjunct->op == ">")) {
-          const Expr* col = conjunct->args[0].get();
-          const Expr* value = conjunct->args[1].get();
-          if (col->kind != Expr::Kind::kColumn) std::swap(col, value);
-          if (col->kind != Expr::Kind::kColumn) continue;
-          if (!EvalConst(*value).ok()) continue;
-          auto col_idx = table->schema.ColumnIndex(col->column);
-          if (!col_idx.ok()) continue;
-          for (const auto& btree : table->btrees) {
-            if (btree->column_index != *col_idx) continue;
-            access = std::string("btree ") +
-                     (conjunct->op == "=" ? "equality probe"
-                                          : "range scan") +
-                     " on " + table->schema.name + "(" + col->column + ")";
-            break;
-          }
-        }
-        if (conjunct->kind == Expr::Kind::kCall &&
-            conjunct->func == "contains" && conjunct->args.size() == 2 &&
-            conjunct->args[0]->kind == Expr::Kind::kColumn) {
-          auto col_idx =
-              table->schema.ColumnIndex(conjunct->args[0]->column);
-          if (!col_idx.ok()) continue;
-          auto pattern_datum = EvalConst(*conjunct->args[1]);
-          if (!pattern_datum.ok()) continue;
-          for (const auto& kmer : table->kmers) {
-            if (kmer->column_index != *col_idx) continue;
-            auto pattern = DatumToSequence(*db_->adapter_, *pattern_datum);
-            if (!pattern.ok() || pattern->size() < kmer->k ||
-                pattern->CountAmbiguous() > 0) {
-              continue;
-            }
-            access = "kmer prefilter (k=" + std::to_string(kmer->k) +
-                     ") on " + table->schema.name + "(" +
-                     conjunct->args[0]->column + ") + verification";
-            break;
-          }
-        }
-      }
-    }
-    out += "access: " + access + "\n";
-    // Predicate order and selectivities.
-    std::stable_sort(conjuncts.begin(), conjuncts.end(),
-                     [](const Expr* a, const Expr* b) {
-                       return ExprCostRank(*a) < ExprCostRank(*b);
-                     });
-    for (const Expr* conjunct : conjuncts) {
+    out += "access: " + PlanSelectScan(stmt, table).Describe() + "\n";
+    for (const Expr* conjunct : OrderedConjuncts(stmt.where.get())) {
       char line[64];
       std::snprintf(line, sizeof(line), "  filter [cost %d, sel ~%.3f] ",
                     ExprCostRank(*conjunct),
@@ -756,22 +724,19 @@ class Database::Executor {
       return Status::InvalidArgument("SELECT needs a FROM clause");
     }
 
-    // Materialize per-table row sets (the first table may go through an
+    // Materialize per-table row sets (a single table may go through an
     // index path).
     std::vector<std::vector<Row>> table_rows(tables.size());
     for (size_t i = 0; i < tables.size(); ++i) {
       obs::Span scan_span("scan");
       scan_span.SetAttr("table", stmt.tables[i].name);
-      bool used_index = false;
-      if (i == 0 && tables.size() == 1 && stmt.where != nullptr) {
-        GENALG_ASSIGN_OR_RETURN(
-            used_index,
-            TryIndexPath(tables[0], *stmt.where, &table_rows[0]));
-      }
-      if (!used_index) {
-        GENALG_RETURN_IF_ERROR(FullScan(tables[i], &table_rows[i]));
-      }
-      scan_span.SetAttr("access", used_index ? "index" : "seq");
+      AccessPath path = PlanSelectScan(stmt, tables[i]);
+      GENALG_RETURN_IF_ERROR(
+          ForEachCandidate(path, [&](RecordId, Row row) -> Status {
+            table_rows[i].push_back(std::move(row));
+            return Status::OK();
+          }));
+      if (scan_span.enabled()) scan_span.SetAttr("access", path.Describe());
       scan_span.SetAttr("rows",
                         static_cast<uint64_t>(table_rows[i].size()));
     }
@@ -782,18 +747,8 @@ class Database::Executor {
       obs::Span filter_span("filter");
       uint64_t rows_in = 0;
 
-      // The Sec. 6.5 predicate-ordering rule: evaluate WHERE conjuncts
-      // cheapest-first (native comparisons, then genomic accessors,
-      // pattern scans, alignment) so expensive operators see the fewest
-      // rows.
-      std::vector<const Expr*> conjuncts;
-      SplitConjuncts(stmt.where.get(), &conjuncts);
-      if (db_->predicate_reordering_) {
-        std::stable_sort(conjuncts.begin(), conjuncts.end(),
-                         [](const Expr* a, const Expr* b) {
-                           return ExprCostRank(*a) < ExprCostRank(*b);
-                         });
-      }
+      std::vector<const Expr*> conjuncts =
+          OrderedConjuncts(stmt.where.get());
 
       Row current;
       std::function<Status(size_t)> recurse =
@@ -1002,113 +957,193 @@ class Database::Executor {
     return error;
   }
 
-  Status FullScan(TableData* table, std::vector<Row>* out) {
-    return table->heap->Scan(
-        [this, out](RecordId, const uint8_t* data, size_t size) -> Status {
-          BytesReader r(data, size);
-          GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
-          ++db_->last_rows_scanned_;
-          out->push_back(std::move(row));
-          return Status::OK();
-        });
-  }
+  // --------------------------------------------------- Access paths.
 
-  // Attempts an index-backed access path for a single-table WHERE: btree
-  // equality / lower-bound probes and k-mer candidate retrieval for
-  // contains() (Sec. 6.5). Returns true and fills `out` when an index
-  // applied; the caller still re-checks the full predicate.
-  Result<bool> TryIndexPath(TableData* table, const Expr& where,
-                            std::vector<Row>* out) {
+  // The one access-path decision for a table's WHERE (Sec. 6.5). SELECT's
+  // scan step, DELETE/UPDATE, EXPLAIN and PROFILE all read it, so what
+  // EXPLAIN prints is what runs.
+  struct AccessPath {
+    enum class Kind { kScan, kBTreeProbe, kBTreeRange, kKmerPrefilter };
+    Kind kind = Kind::kScan;
+    TableData* table = nullptr;
+    const BTreeIndexData* btree = nullptr;
+    const KmerIndexData* kmer = nullptr;
+    std::string key;                  // B+-tree probe key or range start.
+    seq::NucleotideSequence pattern;  // k-mer prefilter pattern.
+
+    std::string Describe() const {
+      const std::string on = " on " + table->schema.name + "(";
+      switch (kind) {
+        case Kind::kScan:
+          break;
+        case Kind::kBTreeProbe:
+          return "btree equality probe" + on + btree->column + ")";
+        case Kind::kBTreeRange:
+          return "btree range scan" + on + btree->column + ")";
+        case Kind::kKmerPrefilter:
+          return "kmer prefilter (k=" + std::to_string(kmer->k) + ")" + on +
+                 kmer->column + ") + verification";
+      }
+      return "sequential scan of " + table->schema.name;
+    }
+  };
+
+  // Picks the first WHERE conjunct (in written order) that an index can
+  // answer, else a scan. Every consumer re-checks the full WHERE, so an
+  // index only has to return a superset of the matching rows. A
+  // comparison qualifies as `column op constant` with op one of =, >=, >
+  // (a constant on the left mirrors the operator) and a constant of the
+  // column's kind after WidenForColumn, as stored values are: B+-tree
+  // keys order by kind first, so any other constant would miss rows that
+  // Datum::Compare matches.
+  AccessPath PlanAccess(TableData* table, const Expr* where) {
+    AccessPath path;
+    path.table = table;
     std::vector<const Expr*> conjuncts;
-    SplitConjuncts(&where, &conjuncts);
+    SplitConjuncts(where, &conjuncts);
     for (const Expr* conjunct : conjuncts) {
-      // col = const / col >= const / col > const with a btree.
-      if (conjunct->kind == Expr::Kind::kBinary &&
-          (conjunct->op == "=" || conjunct->op == ">=" ||
-           conjunct->op == ">")) {
+      if (conjunct->kind == Expr::Kind::kBinary) {
         const Expr* col = conjunct->args[0].get();
         const Expr* value = conjunct->args[1].get();
-        if (col->kind != Expr::Kind::kColumn) std::swap(col, value);
-        if (col->kind != Expr::Kind::kColumn) continue;
-        auto const_value = EvalConst(*value);
-        if (!const_value.ok()) continue;
+        std::string op = conjunct->op;
+        if (col->kind != Expr::Kind::kColumn) {
+          std::swap(col, value);
+          // Mirror: `5 < id` is `id > 5`, `5 >= id` is `id <= 5`.
+          if (op[0] == '<' || op[0] == '>') op[0] = op[0] == '<' ? '>' : '<';
+        }
+        if (col->kind != Expr::Kind::kColumn ||
+            (op != "=" && op != ">=" && op != ">")) {
+          continue;
+        }
         auto col_idx = table->schema.ColumnIndex(col->column);
-        if (!col_idx.ok()) continue;
+        auto constant = EvalConst(*value);
+        if (!col_idx.ok() || !constant.ok()) continue;
+        const ColumnType& type = table->schema.columns[*col_idx].type;
+        Datum key = WidenForColumn(type, std::move(*constant));
+        if (key.kind() != type.kind) continue;
         for (const auto& btree : table->btrees) {
           if (btree->column_index != *col_idx) continue;
-          std::string key = const_value->OrderKey();
-          std::vector<RecordId> rids = conjunct->op == "="
-                                           ? btree->tree.Find(key)
-                                           : btree->tree.RangeFrom(key);
-          GENALG_RETURN_IF_ERROR(FetchRows(table, rids, out));
-          return true;
+          path.kind = op == "=" ? AccessPath::Kind::kBTreeProbe
+                                : AccessPath::Kind::kBTreeRange;
+          path.btree = btree.get();
+          path.key = key.OrderKey();
+          return path;
         }
       }
       // contains(col, const_pattern) with a k-mer index.
       if (conjunct->kind == Expr::Kind::kCall &&
           conjunct->func == "contains" && conjunct->args.size() == 2 &&
           conjunct->args[0]->kind == Expr::Kind::kColumn) {
-        auto col_idx =
-            table->schema.ColumnIndex(conjunct->args[0]->column);
-        if (!col_idx.ok()) continue;
+        auto col_idx = table->schema.ColumnIndex(conjunct->args[0]->column);
         auto pattern_datum = EvalConst(*conjunct->args[1]);
-        if (!pattern_datum.ok()) continue;
+        if (!col_idx.ok() || !pattern_datum.ok()) continue;
+        auto pattern = DatumToSequence(*db_->adapter_, *pattern_datum);
+        if (!pattern.ok() || pattern->CountAmbiguous() > 0) continue;
         for (const auto& kmer : table->kmers) {
-          if (kmer->column_index != *col_idx) continue;
-          auto pattern = DatumToSequence(*db_->adapter_, *pattern_datum);
-          if (!pattern.ok()) continue;
-          if (pattern->size() < kmer->k || pattern->CountAmbiguous() > 0) {
+          if (kmer->column_index != *col_idx || pattern->size() < kmer->k) {
             continue;  // Index unusable; scan instead.
           }
-          // Any row containing the pattern contains all of its k-mers:
-          // intersect the posting lists (capped for long patterns).
-          std::vector<RecordId> candidates;
-          bool first = true;
-          size_t probes = 0;
-          for (size_t pos = 0;
-               pos + kmer->k <= pattern->size() && probes < 16;
-               pos += kmer->k, ++probes) {
-            uint64_t packed;
-            if (!index::PackKmer(*pattern, pos, kmer->k, &packed)) break;
-            auto it = kmer->postings.find(packed);
-            std::vector<RecordId> hits =
-                it == kmer->postings.end() ? std::vector<RecordId>{}
-                                           : it->second;
-            std::sort(hits.begin(), hits.end());
-            if (first) {
-              candidates = std::move(hits);
-              first = false;
-            } else {
-              std::vector<RecordId> merged;
-              std::set_intersection(candidates.begin(), candidates.end(),
-                                    hits.begin(), hits.end(),
-                                    std::back_inserter(merged));
-              candidates = std::move(merged);
-            }
-            if (candidates.empty()) break;
-          }
-          GENALG_RETURN_IF_ERROR(FetchRows(table, candidates, out));
-          return true;
+          path.kind = AccessPath::Kind::kKmerPrefilter;
+          path.kmer = kmer.get();
+          path.pattern = std::move(*pattern);
+          return path;
         }
       }
     }
-    return false;
+    return path;
   }
 
-  Status FetchRows(TableData* table, const std::vector<RecordId>& rids,
-                   std::vector<Row>* out) {
+  // SELECT uses an index only for a single-table FROM.
+  AccessPath PlanSelectScan(const SelectStmt& stmt, TableData* table) {
+    return PlanAccess(table,
+                      stmt.tables.size() == 1 ? stmt.where.get() : nullptr);
+  }
+
+  // WHERE conjuncts in evaluation order. With predicate reordering on
+  // (Sec. 6.5) they run cheapest-first — native comparisons, then genomic
+  // accessors, pattern scans, alignment — so expensive operators see the
+  // fewest rows; otherwise as written.
+  std::vector<const Expr*> OrderedConjuncts(const Expr* where) {
+    std::vector<const Expr*> conjuncts;
+    SplitConjuncts(where, &conjuncts);
+    if (db_->predicate_reordering_) {
+      std::stable_sort(conjuncts.begin(), conjuncts.end(),
+                       [](const Expr* a, const Expr* b) {
+                         return ExprCostRank(*a) < ExprCostRank(*b);
+                       });
+    }
+    return conjuncts;
+  }
+
+  // Runs a plan: hands `visit` each candidate (rid, row) — the rows the
+  // index returns, or every live row for a scan. Callers re-check WHERE.
+  template <typename Visit>
+  Status ForEachCandidate(const AccessPath& path, Visit&& visit) {
+    auto counted = [&](RecordId rid, Row row) -> Status {
+      ++db_->last_rows_scanned_;
+      return visit(rid, std::move(row));
+    };
+    std::vector<RecordId> rids;
+    switch (path.kind) {
+      case AccessPath::Kind::kScan:
+        return ForEachRow(*path.table->heap, counted);
+      case AccessPath::Kind::kBTreeProbe:
+        rids = path.btree->tree.Find(path.key);
+        break;
+      case AccessPath::Kind::kBTreeRange:
+        rids = path.btree->tree.RangeFrom(path.key);
+        break;
+      case AccessPath::Kind::kKmerPrefilter:
+        rids = KmerCandidates(*path.kmer, path.pattern);
+        break;
+    }
     for (RecordId rid : rids) {
-      auto bytes = table->heap->Get(rid);
+      auto bytes = path.table->heap->Get(rid);
       if (!bytes.ok()) {
         if (bytes.status().IsNotFound()) continue;  // Stale index entry.
         return bytes.status();
       }
       BytesReader r(bytes->data(), bytes->size());
       GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
-      ++db_->last_rows_scanned_;
-      out->push_back(std::move(row));
+      GENALG_RETURN_IF_ERROR(counted(rid, std::move(row)));
     }
     return Status::OK();
+  }
+
+  // A row containing the pattern without ambiguity codes contains all of
+  // its k-mers: intersect the posting lists (capped at 16 probes for long
+  // patterns), then add the rows that have ambiguous windows.
+  static std::vector<RecordId> KmerCandidates(
+      const KmerIndexData& kmer, const seq::NucleotideSequence& pattern) {
+    auto posting = [&kmer](uint64_t word) {
+      auto it = kmer.postings.find(word);
+      std::vector<RecordId> rids;
+      if (it != kmer.postings.end()) rids = it->second;
+      std::sort(rids.begin(), rids.end());
+      return rids;
+    };
+    std::vector<RecordId> candidates;
+    for (size_t pos = 0, probes = 0;
+         pos + kmer.k <= pattern.size() && probes < 16;
+         pos += kmer.k, ++probes) {
+      uint64_t packed;
+      if (!index::PackKmer(pattern, pos, kmer.k, &packed)) break;
+      std::vector<RecordId> hits = posting(packed);
+      if (probes > 0) {
+        std::vector<RecordId> both;
+        std::set_intersection(candidates.begin(), candidates.end(),
+                              hits.begin(), hits.end(),
+                              std::back_inserter(both));
+        hits = std::move(both);
+      }
+      candidates = std::move(hits);
+      if (candidates.empty()) break;
+    }
+    std::vector<RecordId> ambiguous = posting(kAmbiguousWindow);
+    std::vector<RecordId> merged;
+    std::set_union(candidates.begin(), candidates.end(), ambiguous.begin(),
+                   ambiguous.end(), std::back_inserter(merged));
+    return merged;
   }
 
   // ------------------------------------------------- Other statements.
@@ -1185,33 +1220,25 @@ class Database::Executor {
     Env env;
     env.bindings.push_back(Binding{table->schema.name, &table->schema, 0});
     std::vector<std::pair<RecordId, Row>> matches;
-    Status scan = table->heap->Scan(
-        [&](RecordId rid, const uint8_t* data, size_t size) -> Status {
-          BytesReader r(data, size);
-          GENALG_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
-          ++db_->last_rows_scanned_;
+    GENALG_RETURN_IF_ERROR(ForEachCandidate(
+        PlanAccess(table, where), [&](RecordId rid, Row row) -> Status {
           if (where != nullptr) {
             GENALG_ASSIGN_OR_RETURN(bool keep, EvalBool(*where, row, env));
             if (!keep) return Status::OK();
           }
           matches.emplace_back(rid, std::move(row));
           return Status::OK();
-        });
-    GENALG_RETURN_IF_ERROR(scan);
+        }));
     return matches;
   }
 
   Result<QueryResult> Exec(const DeleteStmt& stmt) {
-    GENALG_ASSIGN_OR_RETURN(TableData * table, db_->GetTable(stmt.table));
-    if (table->schema.space == Space::kPublic && !privileged_) {
-      return Status::FailedPrecondition("table '" + stmt.table +
-                                        "' is read-only public space");
-    }
+    GENALG_ASSIGN_OR_RETURN(TableData * table,
+                            db_->GetWritableTable(stmt.table, privileged_));
     GENALG_ASSIGN_OR_RETURN(auto matches,
                             Matches(table, stmt.where.get()));
     for (const auto& [rid, row] : matches) {
-      GENALG_RETURN_IF_ERROR(table->heap->Delete(rid));
-      GENALG_RETURN_IF_ERROR(db_->MaintainIndexesOnDelete(table, row, rid));
+      GENALG_RETURN_IF_ERROR(db_->EraseRow(table, row, rid));
     }
     QueryResult r;
     r.message = "deleted " + std::to_string(matches.size()) + " rows";
@@ -1219,11 +1246,8 @@ class Database::Executor {
   }
 
   Result<QueryResult> Exec(const UpdateStmt& stmt) {
-    GENALG_ASSIGN_OR_RETURN(TableData * table, db_->GetTable(stmt.table));
-    if (table->schema.space == Space::kPublic && !privileged_) {
-      return Status::FailedPrecondition("table '" + stmt.table +
-                                        "' is read-only public space");
-    }
+    GENALG_ASSIGN_OR_RETURN(TableData * table,
+                            db_->GetWritableTable(stmt.table, privileged_));
     Env env;
     env.bindings.push_back(Binding{table->schema.name, &table->schema, 0});
     std::vector<std::pair<size_t, const Expr*>> sets;
@@ -1234,20 +1258,20 @@ class Database::Executor {
     }
     GENALG_ASSIGN_OR_RETURN(auto matches,
                             Matches(table, stmt.where.get()));
-    for (auto& [rid, row] : matches) {
-      Row updated = row;
+    // Every new row is computed and checked before any is written, so a
+    // rejected value leaves the table untouched.
+    std::vector<Row> updates;
+    for (const auto& [rid, row] : matches) {
+      Row& updated = updates.emplace_back(row);
       for (const auto& [idx, expr] : sets) {
-        GENALG_ASSIGN_OR_RETURN(Datum d, Eval(*expr, row, env));
-        updated[idx] = std::move(d);
+        GENALG_ASSIGN_OR_RETURN(updated[idx], Eval(*expr, row, env));
       }
-      GENALG_RETURN_IF_ERROR(table->heap->Delete(rid));
-      GENALG_RETURN_IF_ERROR(db_->MaintainIndexesOnDelete(table, row, rid));
-      BytesWriter w;
-      SerializeRow(updated, &w);
-      GENALG_ASSIGN_OR_RETURN(RecordId new_rid,
-                              table->heap->Insert(w.data()));
-      GENALG_RETURN_IF_ERROR(
-          db_->MaintainIndexesOnInsert(table, updated, new_rid));
+      GENALG_RETURN_IF_ERROR(ConformRow(table->schema, &updated));
+    }
+    for (size_t i = 0; i < matches.size(); ++i) {
+      const auto& [rid, row] = matches[i];
+      GENALG_RETURN_IF_ERROR(db_->EraseRow(table, row, rid));
+      GENALG_RETURN_IF_ERROR(db_->StoreRow(table, updates[i]));
     }
     QueryResult r;
     r.message = "updated " + std::to_string(matches.size()) + " rows";

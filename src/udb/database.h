@@ -236,10 +236,13 @@ class Database {
 
   Result<TableData*> GetTable(std::string_view name);
   Result<const TableData*> GetTable(std::string_view name) const;
-  Status MaintainIndexesOnInsert(TableData* table, const Row& row,
-                                 RecordId rid);
-  Status MaintainIndexesOnDelete(TableData* table, const Row& row,
-                                 RecordId rid);
+  /// GetTable, refused for a public-space table unless `privileged`.
+  Result<TableData*> GetWritableTable(std::string_view name,
+                                      bool privileged);
+  /// Writes a conformed row to the heap and every index of `table`.
+  Status StoreRow(TableData* table, const Row& row);
+  /// Removes the row stored at `rid` from the heap and every index.
+  Status EraseRow(TableData* table, const Row& row, RecordId rid);
 
   /// The catalog (schemas, spaces, heap roots, index definitions) as the
   /// blob stored in catalog files, commit records, and Begin snapshots.

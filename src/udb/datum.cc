@@ -62,8 +62,10 @@ Result<int> Datum::Compare(const Datum& other) const {
 namespace {
 
 // Order-preserving double encoding: flip the sign bit for positives,
-// invert all bits for negatives.
+// invert all bits for negatives. -0.0 encodes as 0.0 because Compare
+// calls them equal, so a B+-tree probe for one must find the other.
 uint64_t EncodeDouble(double v) {
+  if (v == 0) v = 0.0;
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   if (bits & 0x8000000000000000ULL) {

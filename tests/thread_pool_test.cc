@@ -91,10 +91,12 @@ TEST(ThreadPoolTest, ParallelForRespectsNonZeroBegin) {
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllRun) {
-  ThreadPool pool(4);
   std::atomic<int> ran{0};
   std::mutex mutex;
   std::condition_variable done;
+  // Declared after what the tasks touch, so its destructor joins the
+  // worker still inside notify_all() before those are destroyed.
+  ThreadPool pool(4);
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
@@ -186,7 +188,7 @@ TEST(ThreadPoolTest, BoundedSizeOnePoolSpawnsAWorker) {
   // Unlike the unbounded size-1 pool (inline execution), a bounded pool
   // must execute asynchronously or the bound would be meaningless.
   Latch latch;
-  ThreadPool pool(1, 4, ThreadPool::OverflowPolicy::kBlock);
+  ThreadPool pool(1, 4);
   EXPECT_EQ(pool.max_queue(), 4u);
   std::atomic<bool> ran{false};
   pool.Submit([&] {
@@ -201,7 +203,7 @@ TEST(ThreadPoolTest, BoundedSizeOnePoolSpawnsAWorker) {
 TEST(ThreadPoolTest, TrySubmitRejectsWhenTheQueueIsFull) {
   auto before = obs::Registry::Global().Snapshot();
   Latch latch;
-  ThreadPool pool(1, 2, ThreadPool::OverflowPolicy::kBlock);
+  ThreadPool pool(1, 2);
   // Occupy the worker, then fill both queue slots.
   pool.Submit([&] { latch.Wait(); });
   while (pool.queued() > 0) std::this_thread::yield();  // Worker picked it up.
@@ -217,9 +219,9 @@ TEST(ThreadPoolTest, TrySubmitRejectsWhenTheQueueIsFull) {
   EXPECT_FALSE(rejected_ran.load());
 }
 
-TEST(ThreadPoolTest, BlockPolicySubmitWaitsForASlotAndAlwaysRuns) {
+TEST(ThreadPoolTest, BoundedSubmitWaitsForASlotAndAlwaysRuns) {
   Latch latch;
-  ThreadPool pool(1, 1, ThreadPool::OverflowPolicy::kBlock);
+  ThreadPool pool(1, 1);
   std::atomic<int> ran{0};
   pool.Submit([&] { latch.Wait(); ++ran; });   // Worker.
   pool.Submit([&] { ++ran; });                  // Queue slot.
@@ -243,19 +245,6 @@ TEST(ThreadPoolTest, BlockPolicySubmitWaitsForASlotAndAlwaysRuns) {
   EXPECT_EQ(ran.load(), 3);
 }
 
-TEST(ThreadPoolTest, InlinePolicyRunsOverflowOnTheCaller) {
-  Latch latch;
-  ThreadPool pool(1, 1, ThreadPool::OverflowPolicy::kInline);
-  pool.Submit([&] { latch.Wait(); });  // Worker.
-  while (pool.queued() > 0) std::this_thread::yield();
-  pool.Submit([] {});                  // Queue slot.
-  // Overflow: must run right here on this thread instead of blocking.
-  std::thread::id inline_thread;
-  pool.Submit([&] { inline_thread = std::this_thread::get_id(); });
-  EXPECT_EQ(inline_thread, std::this_thread::get_id());
-  latch.Release();
-}
-
 TEST(ThreadPoolTest, UnboundedTrySubmitAlwaysAccepts) {
   ThreadPool pool(2);
   for (int i = 0; i < 100; ++i) {
@@ -266,7 +255,7 @@ TEST(ThreadPoolTest, UnboundedTrySubmitAlwaysAccepts) {
 TEST(ThreadPoolTest, BoundedPoolParallelForIsExemptFromTheBound) {
   // ParallelFor's internal chunks are not external admissions; a tiny
   // bound must not deadlock or reject them.
-  ThreadPool pool(2, 1, ThreadPool::OverflowPolicy::kBlock);
+  ThreadPool pool(2, 1);
   std::atomic<size_t> count{0};
   pool.ParallelFor(0, 64, 4, [&](size_t lo, size_t hi) {
     count.fetch_add(hi - lo, std::memory_order_relaxed);

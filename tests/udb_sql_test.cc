@@ -132,6 +132,10 @@ TEST_F(SqlTest, DeleteAndUpdate) {
   auto r = MustExecute("SELECT b FROM t WHERE a = 13");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsString().value(), "updated");
+  // UPDATE checks column types as INSERT does, before writing any row.
+  EXPECT_TRUE(db_->Execute("UPDATE t SET a = 'no'").status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(MustExecute("SELECT * FROM t WHERE a = 13").rows.size(), 1u);
 }
 
 TEST_F(SqlTest, DropTable) {
@@ -415,6 +419,120 @@ TEST_F(SqlTest, KmerIndexRequiresNucseqColumn) {
                   .IsInvalidArgument());
 }
 
+constexpr char kNeedle[] = "ATTGCCATAATTGCCATAAT";
+
+// Loads the same rows into `db`; with `indexed`, also B+-trees on the INT
+// and REAL columns and a k-mer index on the nucseq column.
+void LoadAccessPathRows(Database* db, bool indexed) {
+  auto run = [db](const std::string& sql) {
+    auto r = db->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  run("CREATE TABLE t (id INT, r REAL, s NUCSEQ)");
+  if (indexed) {
+    ASSERT_TRUE(db->CreateBTreeIndex("t", "id").ok());
+    ASSERT_TRUE(db->CreateBTreeIndex("t", "r").ok());
+    ASSERT_TRUE(db->CreateKmerIndex("t", "s").ok());
+  }
+  Rng rng(409);
+  for (int i = 0; i < 10; ++i) {
+    std::string dna = rng.RandomDna(80);
+    if (i == 2 || i == 7) dna.replace(30, 20, kNeedle);
+    // contains() is ambiguity-aware: a subject N matches any base.
+    if (i == 5) {
+      dna = std::string(30, 'C') + kNeedle + std::string(30, 'C');
+      dna[42] = 'N';
+    }
+    run("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
+        std::to_string(i) + ", parse_dna('" + dna + "'))");
+  }
+  // -0.0 compares equal to 0; NULLs match no comparison.
+  run("INSERT INTO t VALUES (-1, -0.0, parse_dna('" + rng.RandomDna(80) +
+      "'))");
+  run("INSERT INTO t VALUES (NULL, NULL, parse_dna('" + rng.RandomDna(80) +
+      "'))");
+}
+
+// A result's rows as text, so a mismatch prints readably.
+std::string RenderRows(const QueryResult& result) {
+  std::string out;
+  for (const Row& row : result.rows) {
+    for (const Datum& d : row) out += d.ToString() + " ";
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(SqlTest, IndexPathsAnswerLikeScans) {
+  struct Case {
+    std::string where;
+    bool indexed;  // Whether the indexed database plans an index path.
+    std::string setup = "";  // Run on both databases after loading.
+  };
+  // UPDATE must store an INT assigned to a REAL column widened, as INSERT
+  // does, or the B+-tree on r holds an Int key that a Real probe misses.
+  const std::string set_r = "UPDATE t SET r = 5 WHERE id = 1";
+  const std::vector<Case> cases = {
+      {"5 > id", false},
+      {"5 < id", true},
+      {"id >= 2.5", false},
+      {"id = 3.0", false},
+      {"r = 3", true},
+      {"r >= 7", true},
+      {"r = 0", true},
+      {"id > 6", true},
+      {"contains(s, parse_dna('" + std::string(kNeedle) + "'))", true},
+      {"r = 5", true, set_r},
+      {"r >= 3", true, set_r},
+  };
+  const std::string contents = "SELECT id, r, s FROM t ORDER BY id, r";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    const std::string select =
+        "SELECT id, r, s FROM t WHERE " + c.where + " ORDER BY id, r";
+    // SELECT, then DELETE and UPDATE on fresh copies.
+    for (const std::string& mutation :
+         {std::string(), "DELETE FROM t WHERE " + c.where,
+          "UPDATE t SET id = id + 100, r = r + 0.5 WHERE " + c.where}) {
+      Database indexed(adapter_.get());
+      Database plain(adapter_.get());
+      LoadAccessPathRows(&indexed, true);
+      LoadAccessPathRows(&plain, false);
+      if (!c.setup.empty()) {
+        ASSERT_TRUE(indexed.Execute(c.setup).ok());
+        ASSERT_TRUE(plain.Execute(c.setup).ok());
+      }
+      auto plan = indexed.Explain(select);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_EQ(plan->find("sequential scan") == std::string::npos,
+                c.indexed)
+          << *plan;
+      if (!mutation.empty()) {
+        auto a = indexed.Execute(mutation);
+        auto b = plain.Execute(mutation);
+        ASSERT_TRUE(a.ok() && b.ok()) << mutation;
+        EXPECT_EQ(a->message, b->message) << mutation;
+        EXPECT_NE(b->message, "deleted 0 rows");
+        EXPECT_NE(b->message, "updated 0 rows");
+        auto left = indexed.Execute(contents);
+        auto right = plain.Execute(contents);
+        ASSERT_TRUE(left.ok() && right.ok());
+        EXPECT_TRUE(left->rows == right->rows)
+            << mutation << "\n" << RenderRows(*left) << "vs\n"
+            << RenderRows(*right);
+      }
+      auto a = indexed.Execute(select);
+      auto b = plain.Execute(select);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_TRUE(a->rows == b->rows) << mutation << "\n" << RenderRows(*a)
+                                      << "vs\n" << RenderRows(*b);
+      if (mutation.empty()) {
+        EXPECT_FALSE(b->rows.empty());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------- Optimizer (6.5).
 
 TEST_F(SqlTest, ExplainReportsAccessPath) {
@@ -437,6 +555,27 @@ TEST_F(SqlTest, ExplainReportsAccessPath) {
       "SELECT a FROM t WHERE contains(s, parse_dna('ACGTACGTACGT'))");
   ASSERT_TRUE(kmer.ok());
   EXPECT_NE(kmer->find("kmer prefilter"), std::string::npos);
+
+  // Both indexes apply: EXPLAIN names the path execution takes (the
+  // first indexable conjunct), and PROFILE's scan reports the same one.
+  const std::string both =
+      "SELECT a FROM t WHERE a = 1 AND contains(s, parse_dna('ACGTACGT'))";
+  auto plan = db_->Explain(both);
+  ASSERT_TRUE(plan.ok());
+  size_t begin = plan->find("access: ");
+  ASSERT_NE(begin, std::string::npos);
+  begin += std::string("access: ").size();
+  std::string access = plan->substr(begin, plan->find('\n', begin) - begin);
+  EXPECT_EQ(access, "btree equality probe on t(a)");
+  auto profile = db_->Profile(both);
+  ASSERT_TRUE(profile.ok());
+  int scans = 0;
+  for (const Row& row : profile->rows) {
+    if (row[0].AsString().value().find("scan") == std::string::npos) continue;
+    ++scans;
+    EXPECT_EQ(row[3].AsString().value(), "table=t access=" + access);
+  }
+  EXPECT_EQ(scans, 1);
 }
 
 TEST_F(SqlTest, ExplainOrdersPredicatesByCost) {
@@ -455,6 +594,15 @@ TEST_F(SqlTest, ExplainOrdersPredicatesByCost) {
   EXPECT_LT(contains, resembles); // ...alignment last.
   // Selectivity estimates are printed.
   EXPECT_NE(plan->find("sel ~"), std::string::npos);
+
+  // Without reordering the filter runs, and EXPLAIN lists, written order.
+  db_->set_predicate_reordering(false);
+  auto written = db_->Explain(
+      "SELECT a FROM t WHERE resembles(s, parse_dna('ACGTACGT')) "
+      "AND a = 1 AND contains(s, parse_dna('ACGT'))");
+  ASSERT_TRUE(written.ok());
+  EXPECT_LT(written->find("resembles("), written->find("(a = 1)"));
+  EXPECT_LT(written->find("(a = 1)"), written->find("contains("));
 }
 
 TEST_F(SqlTest, ExplainRejectsNonSelect) {
