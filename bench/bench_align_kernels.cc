@@ -1,14 +1,15 @@
 // Alignment-kernel ablation: times the full-traceback Smith–Waterman DP
-// against the score-only kernels it was refactored into — the rolling
-// two-row Gotoh kernel, the banded variant around a seed diagonal, and
-// the early-terminating thresholded predicate — over a length sweep, and
-// writes BENCH_align_kernels.json to the repo root. Alongside wall-clock
+// against the linear-memory kernels it was refactored into — the rolling
+// two-row Gotoh score kernel, the stats kernel that carries the traced
+// path's length and identities forward, and the early-terminating
+// thresholded predicate — over a length sweep, and writes
+// BENCH_align_kernels.json to the repo root. Alongside wall-clock
 // it records the peak DP working-set of each kernel (analytic, from the
 // layouts: three int64 matrices for the full DP vs three int32 rows for
 // the kernels), which is the O(n*m) → O(min(n,m)) claim in numbers.
 //
-// Every timed kernel call is checked against the full DP score first, so
-// a run that produced a wrong score aborts instead of reporting it.
+// Every timed kernel call is checked against the full DP first, so a run
+// that produced a wrong score or statistic aborts instead of reporting it.
 
 #include <algorithm>
 #include <chrono>
@@ -27,7 +28,6 @@ namespace {
 
 constexpr size_t kLengths[] = {250, 500, 1000, 2000};
 constexpr size_t kNumLengths = sizeof(kLengths) / sizeof(kLengths[0]);
-constexpr size_t kBand = 48;
 
 double MedianMs(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
@@ -49,12 +49,11 @@ double TimeMs(int repeats, Fn&& body) {
 }
 
 // A homologous pair: `b` is `a` with ~8% point mutations and a small
-// prefix shift, so the optimal alignment hugs a known diagonal — the
-// regime the `resembles` hot path lives in.
+// prefix shift, so the optimal alignment hugs one diagonal — the regime
+// the `resembles` hot path lives in.
 struct Pair {
   std::string a;
   std::string b;
-  int64_t diagonal;
 };
 
 Pair MakeRelatedPair(Rng* rng, size_t length) {
@@ -67,7 +66,6 @@ Pair MakeRelatedPair(Rng* rng, size_t length) {
   const size_t shift = 1 + rng->Uniform(16);
   p.b = rng->RandomDna(shift) + p.b;
   p.b.resize(length);
-  p.diagonal = static_cast<int64_t>(shift);
   return p;
 }
 
@@ -75,10 +73,11 @@ struct LengthResult {
   size_t length = 0;
   double full_dp_ms = 0;
   double score_only_ms = 0;
-  double banded_ms = 0;
+  double stats_ms = 0;
   double reaches_miss_ms = 0;
   size_t full_dp_bytes = 0;
   size_t score_only_bytes = 0;
+  size_t stats_bytes = 0;
 };
 
 LengthResult RunLength(size_t length) {
@@ -89,17 +88,20 @@ LengthResult RunLength(size_t length) {
   const auto& scoring = align::SubstitutionMatrix::Nucleotide();
   const align::GapPenalties gaps;
 
-  const int64_t truth =
-      align::LocalAlign(related.a, related.b, scoring, gaps)->score;
+  const align::Alignment full =
+      align::LocalAlign(related.a, related.b, scoring, gaps).value();
+  const int64_t truth = full.score;
   align::AlignScratch scratch;
   if (align::LocalAlignScore(related.a, related.b, scoring, gaps,
                              &scratch)
           .value() != truth) {
     std::abort();
   }
-  if (align::BandedLocalAlignScore(related.a, related.b, scoring, gaps,
-                                   related.diagonal, kBand, &scratch)
-          .value() != truth) {
+  const align::AlignmentStats stats =
+      align::LocalAlignStats(related.a, related.b, scoring, gaps, &scratch)
+          .value();
+  if (stats.score != truth || stats.length != full.Length() ||
+      stats.identities != full.Identities()) {
     std::abort();
   }
   // A threshold between the noise pair's best score (~0.2 per base) and
@@ -131,10 +133,11 @@ LengthResult RunLength(size_t length) {
       std::abort();
     }
   });
-  out.banded_ms = TimeMs(repeats, [&] {
-    if (align::BandedLocalAlignScore(related.a, related.b, scoring, gaps,
-                                     related.diagonal, kBand, &scratch)
-            .value() != truth) {
+  out.stats_ms = TimeMs(repeats, [&] {
+    if (align::LocalAlignStats(related.a, related.b, scoring, gaps,
+                               &scratch)
+            .value()
+            .length != stats.length) {
       std::abort();
     }
   });
@@ -147,11 +150,15 @@ LengthResult RunLength(size_t length) {
   });
   // Peak DP working set, from the layouts. Full DP: three int64 layers
   // of (n+1)*(m+1) cells. Score-only: three int32 rows of min(n,m)+1
-  // cells plus the two uint8 code strings.
+  // cells plus the two uint8 code strings. Stats: one row of StatsCell
+  // (three int32 values and three packed uint64 path statistics) plus
+  // the code strings.
   const size_t cells = (length + 1) * (length + 1);
   out.full_dp_bytes = 3 * cells * sizeof(int64_t);
   out.score_only_bytes =
       3 * (length + 1) * sizeof(int32_t) + 2 * length * sizeof(uint8_t);
+  out.stats_bytes = (length + 1) * sizeof(align::AlignScratch::StatsCell) +
+                    2 * length * sizeof(uint8_t);
   return out;
 }
 
@@ -159,9 +166,9 @@ LengthResult RunLength(size_t length) {
 // and unrelated pairs, old route (full DP for every pair) vs the
 // screened kernels behind the new Resembles. Two regimes: the permissive
 // default (80% over >= 16 bases), whose tiny score floor almost never
-// refutes a pair — the screen must stay ~free there — and a stringent
-// entity-matching config (90% over >= 200 bases), whose floor rejects
-// unrelated pairs without ever running their full DP.
+// refutes a pair, so nearly every pair takes the stats pass; and a
+// stringent entity-matching config (90% over >= 200 bases), whose floor
+// rejects unrelated pairs after one score-only pass.
 struct PredicateResult {
   const char* name = "";
   double min_identity = 0;
@@ -175,7 +182,6 @@ PredicateResult RunPredicate(const char* name, double min_identity,
                              size_t min_overlap) {
   Rng rng(99);
   std::vector<seq::NucleotideSequence> store;
-  std::vector<int64_t> hints;
   for (int i = 0; i < 40; ++i) {
     if (i % 4 == 0 && !store.empty()) {
       std::string s = store[store.size() - 1].ToString();
@@ -193,7 +199,6 @@ PredicateResult RunPredicate(const char* name, double min_identity,
       pairs;
   for (size_t i = 0; i + 1 < store.size(); ++i) {
     pairs.emplace_back(&store[i], &store[i + 1]);
-    hints.push_back(0);
   }
 
   PredicateResult out;
@@ -220,9 +225,9 @@ PredicateResult RunPredicate(const char* name, double min_identity,
   });
   ThreadPool serial(1);
   out.screened_ms = TimeMs(3, [&] {
-    auto got = align::BatchResembles(pairs, min_identity, min_overlap,
-                                     &serial, &hints)
-                   .value();
+    auto got =
+        align::BatchResembles(pairs, min_identity, min_overlap, &serial)
+            .value();
     for (size_t i = 0; i < pairs.size(); ++i) {
       if (got[i] != want[i]) std::abort();
     }
@@ -251,12 +256,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < kNumLengths; ++i) {
     results[i] = RunLength(kLengths[i]);
     std::printf(
-        "len=%-5zu full=%.2fms score=%.2fms (%.1fx) banded=%.2fms "
+        "len=%-5zu full=%.2fms score=%.2fms (%.1fx) stats=%.2fms "
         "(%.1fx) reject=%.2fms\n",
         results[i].length, results[i].full_dp_ms, results[i].score_only_ms,
         results[i].full_dp_ms / results[i].score_only_ms,
-        results[i].banded_ms,
-        results[i].full_dp_ms / results[i].banded_ms,
+        results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms,
         results[i].reaches_miss_ms);
   }
   PredicateResult predicates[] = {
@@ -279,9 +283,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"benchmark\": \"align_kernels\",\n");
   std::fprintf(out,
                "  \"setup\": {\"pair\": \"8%% mutated copy, shifted\", "
-               "\"gap_open\": -5, \"gap_extend\": -1, \"band\": %zu, "
-               "\"threads\": 1},\n",
-               kBand);
+               "\"gap_open\": -5, \"gap_extend\": -1, "
+               "\"threads\": 1},\n");
   std::fprintf(out, "  \"lengths\": [\n");
   for (size_t i = 0; i < kNumLengths; ++i) {
     const LengthResult& r = results[i];
@@ -289,13 +292,14 @@ int main(int argc, char** argv) {
         out,
         "    {\"length\": %zu, \"full_dp_ms\": %.3f, "
         "\"score_only_ms\": %.3f, \"score_only_speedup\": %.2f, "
-        "\"banded_ms\": %.3f, \"banded_speedup\": %.2f, "
+        "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, "
         "\"early_exit_reject_ms\": %.3f, "
-        "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu}%s\n",
+        "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu, "
+        "\"stats_peak_bytes\": %zu}%s\n",
         r.length, r.full_dp_ms, r.score_only_ms,
-        r.full_dp_ms / r.score_only_ms, r.banded_ms,
-        r.full_dp_ms / r.banded_ms, r.reaches_miss_ms, r.full_dp_bytes,
-        r.score_only_bytes, i + 1 < kNumLengths ? "," : "");
+        r.full_dp_ms / r.score_only_ms, r.stats_ms,
+        r.full_dp_ms / r.stats_ms, r.reaches_miss_ms, r.full_dp_bytes,
+        r.score_only_bytes, r.stats_bytes, i + 1 < kNumLengths ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"resembles_predicate\": [\n");

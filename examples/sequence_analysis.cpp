@@ -85,12 +85,10 @@ int main() {
                 candidates[0].doc,
                 static_cast<long long>(candidates[0].best_diagonal),
                 candidates[0].shared_kmers);
-    // Confirm with a banded alignment against the winning chunk.
-    auto alignment = align::BandedGlobalAlign(
-        read, corpus[candidates[0].doc].ToString().substr(0, read.size()),
-        align::SubstitutionMatrix::Nucleotide(), -2, 32);
+    // Confirm with a local alignment against the winning chunk.
+    auto alignment = align::LocalAlign(read_seq, corpus[candidates[0].doc]);
     if (alignment.ok()) {
-      std::printf("banded alignment identity: %.3f\n",
+      std::printf("local alignment identity: %.3f\n",
                   alignment->Identity());
     }
   }

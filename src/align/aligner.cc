@@ -117,13 +117,16 @@ Alignment TraceBack(const Dp& dp, std::string_view a, std::string_view b,
 
 }  // namespace
 
-double Alignment::Identity() const {
-  if (aligned_a.empty()) return 0.0;
+size_t Alignment::Identities() const {
   size_t same = 0;
   for (size_t i = 0; i < aligned_a.size(); ++i) {
     if (aligned_a[i] == aligned_b[i] && aligned_a[i] != '-') ++same;
   }
-  return static_cast<double>(same) / static_cast<double>(aligned_a.size());
+  return same;
+}
+
+double Alignment::Identity() const {
+  return AlignmentStats{score, Length(), Identities()}.Identity();
 }
 
 Result<Alignment> GlobalAlign(std::string_view a, std::string_view b,
@@ -220,90 +223,6 @@ Result<Alignment> LocalAlign(std::string_view a, std::string_view b,
   return out;
 }
 
-Result<Alignment> BandedGlobalAlign(std::string_view a, std::string_view b,
-                                    const SubstitutionMatrix& scoring,
-                                    int gap, size_t band) {
-  if (gap > 0) return Status::InvalidArgument("gap penalty must be <= 0");
-  const size_t n = a.size();
-  const size_t m = b.size();
-  size_t diff = n > m ? n - m : m - n;
-  if (band < diff) {
-    return Status::InvalidArgument(
-        "band " + std::to_string(band) +
-        " cannot bridge length difference " + std::to_string(diff));
-  }
-  // score[i][j] stored only for |i - j| <= band, as a (2*band+1)-wide strip.
-  const size_t width = 2 * band + 1;
-  std::vector<int64_t> score((n + 1) * width, kNegInf);
-  auto idx = [&](size_t i, size_t j) -> size_t {
-    // Column offset within the strip of row i.
-    return i * width + (j + band - i);
-  };
-  auto in_band = [&](size_t i, size_t j) {
-    return j + band >= i && j <= i + band && j <= m;
-  };
-  score[idx(0, 0)] = 0;
-  for (size_t j = 1; j <= std::min(m, band); ++j) {
-    score[idx(0, j)] = static_cast<int64_t>(j) * gap;
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    size_t j_lo = i > band ? i - band : 0;
-    size_t j_hi = std::min(m, i + band);
-    for (size_t j = j_lo; j <= j_hi; ++j) {
-      int64_t best = kNegInf;
-      if (j == 0) {
-        best = static_cast<int64_t>(i) * gap;
-      } else {
-        if (in_band(i - 1, j - 1) && score[idx(i - 1, j - 1)] != kNegInf) {
-          best = std::max(best, score[idx(i - 1, j - 1)] +
-                                    scoring.Score(a[i - 1], b[j - 1]));
-        }
-        if (in_band(i - 1, j) && score[idx(i - 1, j)] != kNegInf) {
-          best = std::max(best, score[idx(i - 1, j)] + gap);
-        }
-        if (in_band(i, j - 1) && score[idx(i, j - 1)] != kNegInf) {
-          best = std::max(best, score[idx(i, j - 1)] + gap);
-        }
-      }
-      score[idx(i, j)] = best;
-    }
-  }
-  // Traceback.
-  Alignment out;
-  out.score = score[idx(n, m)];
-  out.end_a = n;
-  out.end_b = m;
-  std::string ra, rb;
-  size_t i = n;
-  size_t j = m;
-  while (i > 0 || j > 0) {
-    int64_t cur = score[idx(i, j)];
-    if (i > 0 && j > 0 && in_band(i - 1, j - 1) &&
-        score[idx(i - 1, j - 1)] != kNegInf &&
-        score[idx(i - 1, j - 1)] + scoring.Score(a[i - 1], b[j - 1]) == cur) {
-      ra.push_back(a[i - 1]);
-      rb.push_back(b[j - 1]);
-      --i;
-      --j;
-    } else if (i > 0 && in_band(i - 1, j) &&
-               score[idx(i - 1, j)] != kNegInf &&
-               score[idx(i - 1, j)] + gap == cur) {
-      ra.push_back(a[i - 1]);
-      rb.push_back('-');
-      --i;
-    } else {
-      ra.push_back('-');
-      rb.push_back(b[j - 1]);
-      --j;
-    }
-  }
-  std::reverse(ra.begin(), ra.end());
-  std::reverse(rb.begin(), rb.end());
-  out.aligned_a = std::move(ra);
-  out.aligned_b = std::move(rb);
-  return out;
-}
-
 Result<Alignment> GlobalAlign(const seq::NucleotideSequence& a,
                               const seq::NucleotideSequence& b,
                               const GapPenalties& gaps) {
@@ -350,35 +269,23 @@ Status ParallelIndexed(ThreadPool* pool, size_t n,
   return Status::OK();
 }
 
-// Width of the diagonal strip a seed hint buys before falling back to
-// the full-width kernels.
-constexpr size_t kHintBandWidth = 48;
-
-struct ResemblesOutcome {
-  bool hit = false;
-  double identity = 0.0;
-  int64_t score = 0;
-};
-
 // Decides the `resembles` predicate for one pair. The verdict is
 // bit-identical to running the full local alignment and checking its
 // length and identity — the kernels only change how cheaply a verdict is
 // reached:
 //   1. trivial rejects (empty inputs; shorter input cannot hold the
 //      identity matches the predicate demands);
-//   2. a score floor every qualifying alignment must reach: refuted in
-//      O(min(n, m)) memory — confirmed cheaply via a banded fill around
-//      the seed diagonal when the caller has one, else via the
-//      early-terminating full-width kernel;
-//   3. only pairs whose score clears the floor pay for the O(n*m)
-//      traceback DP that yields length and identity.
-Result<ResemblesOutcome> ResemblesScreened(std::string_view a,
-                                           std::string_view b,
-                                           double min_identity,
-                                           size_t min_overlap,
-                                           int64_t diagonal_hint,
-                                           AlignScratch* scratch) {
-  ResemblesOutcome out;
+//   2. a score floor every qualifying alignment must reach, refuted in
+//      O(min(n, m)) memory by the early-terminating score-only kernel;
+//   3. pairs whose score clears the floor take one LocalAlignStats pass,
+//      which yields the length and identity of the alignment LocalAlign
+//      would trace back, in O(m) memory.
+Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
+                                            std::string_view b,
+                                            double min_identity,
+                                            size_t min_overlap,
+                                            AlignScratch* scratch) {
+  SimilarityVerdict out;
   const GapPenalties gaps;
   const SubstitutionMatrix scoring = SubstitutionMatrix::Nucleotide();
   // The full DP on an empty input yields the empty alignment (length 0,
@@ -402,36 +309,15 @@ Result<ResemblesOutcome> ResemblesScreened(std::string_view a,
       ResemblesScoreFloor(profile, gaps, min_identity, min_overlap,
                           scratch->codes_a, scratch->codes_b);
   if (floor == std::numeric_limits<int64_t>::max()) return out;
-  if (floor > 0) {
-    bool reachable = false;
-    if (diagonal_hint != kNoDiagonalHint) {
-      // The banded score is a lower bound of the true best, so clearing
-      // the floor inside the band is conclusive; missing it is not.
-      GENALG_ASSIGN_OR_RETURN(
-          int64_t banded,
-          BandedLocalAlignScore(a, b, scoring, gaps, diagonal_hint,
-                                kHintBandWidth, scratch));
-      reachable = banded >= floor;
-      if (reachable) {
-        static obs::Counter* band_hits =
-            obs::Registry::Global().GetCounter("align.resembles.band_hits");
-        band_hits->Increment();
-      }
-    }
-    if (!reachable) {
-      GENALG_ASSIGN_OR_RETURN(
-          reachable, LocalScoreReaches(a, b, scoring, gaps, floor, scratch));
-    }
-    if (!reachable) return out;  // Best score provably below the floor.
-  }
-  // The screen could not refute the predicate: one full DP, answered
-  // from the alignment exactly as the slow path always did.
+  GENALG_ASSIGN_OR_RETURN(
+      bool reachable, LocalScoreReaches(a, b, scoring, gaps, floor, scratch));
+  if (!reachable) return out;  // Best score provably below the floor.
   static obs::Counter* confirm_dps =
       obs::Registry::Global().GetCounter("align.resembles.confirm_dps");
   confirm_dps->Increment();
-  GENALG_ASSIGN_OR_RETURN(Alignment best,
-                          LocalAlign(a, b, scoring, gaps, scratch));
-  if (best.Length() < min_overlap) return out;
+  GENALG_ASSIGN_OR_RETURN(AlignmentStats best,
+                          LocalAlignStats(a, b, scoring, gaps, scratch));
+  if (best.length < min_overlap) return out;
   const double identity = best.Identity();
   if (identity < min_identity) return out;
   out.hit = true;
@@ -465,14 +351,9 @@ Result<std::vector<Alignment>> BatchLocalAlign(
 Result<std::vector<bool>> BatchResembles(
     const std::vector<std::pair<const seq::NucleotideSequence*,
                                 const seq::NucleotideSequence*>>& pairs,
-    double min_identity, size_t min_overlap, ThreadPool* pool,
-    const std::vector<int64_t>* diagonal_hints) {
+    double min_identity, size_t min_overlap, ThreadPool* pool) {
   if (min_identity < 0.0 || min_identity > 1.0) {
     return Status::InvalidArgument("min_identity must be in [0, 1]");
-  }
-  if (diagonal_hints != nullptr && diagonal_hints->size() != pairs.size()) {
-    return Status::InvalidArgument(
-        "diagonal_hints must match pairs in size");
   }
   // std::vector<bool> is not safe for concurrent element writes; stage
   // into bytes.
@@ -482,13 +363,9 @@ Result<std::vector<bool>> BatchResembles(
         thread_local AlignScratch scratch;
         const std::string a = pairs[i].first->ToString();
         const std::string b = pairs[i].second->ToString();
-        const int64_t hint = diagonal_hints != nullptr
-                                 ? (*diagonal_hints)[i]
-                                 : kNoDiagonalHint;
         GENALG_ASSIGN_OR_RETURN(
-            ResemblesOutcome out,
-            ResemblesScreened(a, b, min_identity, min_overlap, hint,
-                              &scratch));
+            SimilarityVerdict out,
+            ResemblesScreened(a, b, min_identity, min_overlap, &scratch));
         verdicts[i] = out.hit ? 1 : 0;
         return Status::OK();
       }));
@@ -498,27 +375,17 @@ Result<std::vector<bool>> BatchResembles(
 Result<std::vector<SimilarityVerdict>> BatchSimilarity(
     const seq::NucleotideSequence& query,
     const std::vector<const seq::NucleotideSequence*>& targets,
-    double min_identity, size_t min_overlap, ThreadPool* pool,
-    const std::vector<int64_t>* diagonal_hints) {
-  if (diagonal_hints != nullptr &&
-      diagonal_hints->size() != targets.size()) {
-    return Status::InvalidArgument(
-        "diagonal_hints must match targets in size");
-  }
+    double min_identity, size_t min_overlap, ThreadPool* pool) {
   const std::string query_chars = query.ToString();
   std::vector<SimilarityVerdict> verdicts(targets.size());
   GENALG_RETURN_IF_ERROR(ParallelIndexed(
       pool, targets.size(), [&](size_t i) -> Status {
         thread_local AlignScratch scratch;
         const std::string target_chars = targets[i]->ToString();
-        const int64_t hint = diagonal_hints != nullptr
-                                 ? (*diagonal_hints)[i]
-                                 : kNoDiagonalHint;
         GENALG_ASSIGN_OR_RETURN(
-            ResemblesOutcome out,
+            verdicts[i],
             ResemblesScreened(query_chars, target_chars, min_identity,
-                              min_overlap, hint, &scratch));
-        verdicts[i] = SimilarityVerdict{out.hit, out.identity, out.score};
+                              min_overlap, &scratch));
         return Status::OK();
       }));
   return verdicts;
@@ -526,18 +393,19 @@ Result<std::vector<SimilarityVerdict>> BatchSimilarity(
 
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
-                       double min_identity, size_t min_overlap,
-                       int64_t diagonal_hint) {
+                       double min_identity, size_t min_overlap) {
   if (min_identity < 0.0 || min_identity > 1.0) {
     return Status::InvalidArgument("min_identity must be in [0, 1]");
   }
-  AlignScratch scratch;
+  // The SQL operator calls this once per row: keep one scratch per
+  // thread, as the batch drivers do.
+  thread_local AlignScratch scratch;
   const std::string chars_a = a.ToString();
   const std::string chars_b = b.ToString();
   GENALG_ASSIGN_OR_RETURN(
-      ResemblesOutcome out,
+      SimilarityVerdict out,
       ResemblesScreened(chars_a, chars_b, min_identity, min_overlap,
-                        diagonal_hint, &scratch));
+                        &scratch));
   return out.hit;
 }
 

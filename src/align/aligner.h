@@ -31,6 +31,9 @@ struct Alignment {
   /// Number of alignment columns (including gap columns).
   size_t Length() const { return aligned_a.size(); }
 
+  /// Number of columns whose two characters are equal and not '-'.
+  size_t Identities() const;
+
   /// Fraction of columns whose residues match exactly (gap columns count
   /// against identity); 0 for an empty alignment.
   double Identity() const;
@@ -55,14 +58,6 @@ Result<Alignment> LocalAlign(std::string_view a, std::string_view b,
                              const SubstitutionMatrix& scoring,
                              const GapPenalties& gaps = GapPenalties(),
                              AlignScratch* scratch = nullptr);
-
-/// Banded Needleman–Wunsch with linear gap cost `gap` (per gapped column,
-/// negative): only cells with |i - j| <= band are filled, giving
-/// O(band * max(|a|,|b|)) time. InvalidArgument if the band cannot bridge
-/// the length difference of the inputs.
-Result<Alignment> BandedGlobalAlign(std::string_view a, std::string_view b,
-                                    const SubstitutionMatrix& scoring,
-                                    int gap, size_t band);
 
 /// Convenience overloads on the GDT sequence types.
 Result<Alignment> GlobalAlign(const seq::NucleotideSequence& a,
@@ -94,17 +89,12 @@ Result<std::vector<Alignment>> BatchLocalAlign(
 /// pool sizes). Used by the warehouse integrator's content-matching
 /// stage and the mediator's similarity queries. Each pool worker keeps a
 /// thread-local AlignScratch, so steady-state evaluation allocates no DP
-/// memory. `diagonal_hints` (optional, one entry per pair,
-/// kNoDiagonalHint where unknown) are the dominant seed diagonals from
-/// KmerIndex::FindCandidates; a hinted pair first tries a cheap banded
-/// fill around the hint before deciding whether the full check is needed.
-/// Hints never change a verdict, only the route taken to it.
+/// memory.
 Result<std::vector<bool>> BatchResembles(
     const std::vector<std::pair<const seq::NucleotideSequence*,
                                 const seq::NucleotideSequence*>>& pairs,
     double min_identity = 0.8, size_t min_overlap = 16,
-    ThreadPool* pool = nullptr,
-    const std::vector<int64_t>* diagonal_hints = nullptr);
+    ThreadPool* pool = nullptr);
 
 /// One target's outcome from BatchSimilarity: whether it passed the
 /// (min_identity, min_overlap) predicate, and if so the identity and
@@ -119,15 +109,12 @@ struct SimilarityVerdict {
 /// `query` against every target and reports identity + score for the
 /// hits — what Mediator::SimilarTo needs, without materializing gapped
 /// alignment strings for the (typical) majority of targets that miss.
-/// Misses are rejected by the score-only kernels; only hits pay for a
-/// full DP. Semantics of hints, scratch reuse and determinism match
-/// BatchResembles.
+/// Scratch reuse and determinism match BatchResembles.
 Result<std::vector<SimilarityVerdict>> BatchSimilarity(
     const seq::NucleotideSequence& query,
     const std::vector<const seq::NucleotideSequence*>& targets,
     double min_identity = 0.8, size_t min_overlap = 16,
-    ThreadPool* pool = nullptr,
-    const std::vector<int64_t>* diagonal_hints = nullptr);
+    ThreadPool* pool = nullptr);
 
 /// The paper's `resembles` operator (Sec. 6.3): true iff the best local
 /// alignment of the two sequences covers at least `min_overlap` bases and
@@ -135,15 +122,13 @@ Result<std::vector<SimilarityVerdict>> BatchSimilarity(
 /// window. This is the user-defined predicate the Unifying Database
 /// registers for use inside SQL.
 ///
-/// Fast path: a score floor derived from (min_identity, min_overlap)
-/// lets the linear-memory kernels prove most negatives without running
-/// the full O(n*m) DP; `diagonal_hint` (a seed diagonal, j - i) lets a
-/// banded fill prove most positives cheap as well. The verdict is
-/// bit-identical to evaluating the full alignment directly.
+/// Evaluated in linear memory: a score floor derived from
+/// (min_identity, min_overlap) lets an early-exit score-only pass prove
+/// most negatives, and one LocalAlignStats pass decides the rest. The
+/// verdict is bit-identical to evaluating the full alignment directly.
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
-                       double min_identity = 0.8, size_t min_overlap = 16,
-                       int64_t diagonal_hint = kNoDiagonalHint);
+                       double min_identity = 0.8, size_t min_overlap = 16);
 
 }  // namespace genalg::align
 

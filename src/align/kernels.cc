@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "align/aligner.h"
 #include "obs/metrics.h"
@@ -185,72 +186,95 @@ int32_t GlobalScoreCore(const ScoringProfile& profile,
   return rbest[cols];
 }
 
-// Banded local core over diagonal strips. Slot d of each array tracks the
-// diagonal j - i = center + d - band, so a slot's column advances by one
-// per row: the diagonal predecessor (i-1, j-1) is the same slot, the
-// vertical predecessor (i-1, j) is slot d + 1, and the horizontal
-// predecessor (i, j-1) is the just-computed slot d - 1. Cells outside the
-// band are unreachable (kNegInf32), which confines paths to the band and
-// makes the result a lower bound of the unbanded score.
-int32_t BandedLocalCore(const ScoringProfile& profile,
-                        const std::vector<uint8_t>& ra,
-                        const std::vector<uint8_t>& rb,
-                        const GapPenalties& gaps, int64_t center,
-                        size_t band, AlignScratch* scratch) {
-  const size_t rows = ra.size();
-  const int64_t cols = static_cast<int64_t>(rb.size());
+// One alignment column: length + 1, identities + `identical`.
+constexpr uint64_t kColumn = uint64_t{1} << 32;
+
+// `a` if `take_a`, else `b`, without a branch: which layer a cell's path
+// comes from is data-dependent and mispredicts as a branch.
+uint64_t Select(bool take_a, uint64_t a, uint64_t b) {
+  return b ^ ((a ^ b) & (uint64_t{0} - static_cast<uint64_t>(take_a)));
+}
+
+// Forward twin of LocalAlign's traceback. Alongside each DP value a cell
+// carries, packed as (length << 32 | identities), the statistics of the
+// path TraceBack would walk from it. Each of TraceBack's choices depends
+// only on values already known when the cell is filled:
+//   - M > 0 extends its diagonal predecessor: the first of M, X, Y at
+//     (i-1, j-1) equal to their max; M = 0 is where TraceBack stops, so
+//     its path is empty;
+//   - X (Y) extends X (Y) when extending ties or beats opening, else
+//     opens from M;
+//   - the end cell is the first M cell, row-major, strictly above the
+//     best so far.
+// Rows run over `a`, columns over `b`: the tie order is not symmetric,
+// so the operands are never swapped. As in LocalScoreCore, the previous
+// row lives in one array (here of StatsCell) and the current row's left
+// neighbour in scalars.
+AlignmentStats LocalStatsCore(const ScoringProfile& profile,
+                              std::string_view a, std::string_view b,
+                              const std::vector<uint8_t>& ca,
+                              const std::vector<uint8_t>& cb,
+                              const GapPenalties& gaps,
+                              AlignScratch* scratch) {
+  const size_t rows = a.size();
+  const size_t cols = b.size();
   const int32_t oe = gaps.open + gaps.extend;
   const int32_t ext = gaps.extend;
-  const size_t width = 2 * band + 1;
-  std::vector<int32_t>& rm = scratch->row_m;
-  std::vector<int32_t>& rx = scratch->row_x;
-  std::vector<int32_t>& rbest = scratch->row_best;
-  // One sentinel slot past the strip so the vertical read d + 1 is safe.
-  rm.assign(width + 1, kNegInf32);
-  rx.assign(width + 1, kNegInf32);
-  rbest.assign(width + 1, kNegInf32);
-  // Row 0: M[0][j] = 0 for every in-range column (the local boundary).
-  for (size_t d = 0; d < width; ++d) {
-    int64_t j = center + static_cast<int64_t>(d) - static_cast<int64_t>(band);
-    if (j >= 0 && j <= cols) {
-      rm[d] = 0;
-      rbest[d] = 0;
-    }
-  }
+  scratch->stats_row.assign(cols + 1, {0, kNegInf32, 0, 0, 0, 0});
+  AlignScratch::StatsCell* row = scratch->stats_row.data();
   int32_t best = 0;
+  uint64_t best_stats = 0;
   for (size_t i = 1; i <= rows; ++i) {
-    const int32_t* score_row = profile.Row(ra[i - 1]);
-    int32_t m_left = kNegInf32;
+    const int32_t* score_row = profile.Row(ca[i - 1]);
+    const char ai = a[i - 1];
+    const uint64_t ai_residue = ai != '-';
+    int32_t m_left = 0;
     int32_t y_left = kNegInf32;
-    for (size_t d = 0; d < width; ++d) {
-      int64_t j = static_cast<int64_t>(i) + center +
-                  static_cast<int64_t>(d) - static_cast<int64_t>(band);
-      int32_t mv, xv, yv, bv;
-      if (j < 0 || j > cols) {
-        mv = xv = yv = bv = kNegInf32;
-      } else if (j == 0) {
-        // The local boundary column.
-        mv = 0;
-        xv = kNegInf32;
-        yv = kNegInf32;
-        bv = 0;
-      } else {
-        mv = rbest[d] + score_row[rb[j - 1]];  // Diagonal: same slot.
-        if (mv < 0) mv = 0;
-        xv = std::max(rm[d + 1] + oe, rx[d + 1] + ext);  // Vertical.
-        yv = std::max(m_left + oe, y_left + ext);        // Horizontal.
-        bv = std::max(mv, std::max(xv, yv));
-        if (mv > best) best = mv;
-      }
-      rm[d] = mv;
-      rx[d] = xv;
-      rbest[d] = bv;
+    uint64_t m_left_stats = 0;
+    uint64_t y_left_stats = 0;
+    int32_t best_diag = row[0].best;
+    uint64_t best_diag_stats = row[0].best_stats;
+    for (size_t j = 1; j <= cols; ++j) {
+      AlignScratch::StatsCell& cell = row[j];
+      const int32_t raw = best_diag + score_row[cb[j - 1]];
+      const int32_t mv = std::max(raw, 0);
+      const uint64_t identical =
+          static_cast<uint64_t>(ai == b[j - 1]) & ai_residue;
+      const uint64_t mst =
+          Select(raw > 0, best_diag_stats + kColumn + identical, 0);
+      const int32_t x_ext = cell.x + ext;
+      const int32_t xv = std::max(x_ext, cell.m + oe);
+      const uint64_t xst =
+          Select(x_ext == xv, cell.x_stats, cell.m_stats) + kColumn;
+      const int32_t y_ext = y_left + ext;
+      const int32_t yv = std::max(y_ext, m_left + oe);
+      const uint64_t yst =
+          Select(y_ext == yv, y_left_stats, m_left_stats) + kColumn;
+      const int32_t bv = std::max(mv, std::max(xv, yv));
+      best_diag = cell.best;
+      best_diag_stats = cell.best_stats;
+      cell.m = mv;
+      cell.x = xv;
+      cell.best = bv;
+      cell.m_stats = mst;
+      cell.x_stats = xst;
+      cell.best_stats = Select(mv == bv, mst, Select(xv == bv, xst, yst));
       m_left = mv;
       y_left = yv;
+      m_left_stats = mst;
+      y_left_stats = yst;
+      if (mv > best) {
+        best = mv;
+        best_stats = mst;
+      }
     }
   }
-  Metrics().cells->Add(rows * width);
-  return best;
+  Metrics().cells->Add(rows * cols);
+  AlignmentStats out;
+  out.score = best;
+  out.length = static_cast<size_t>(best_stats >> 32);
+  out.identities = static_cast<size_t>(best_stats & 0xffffffffu);
+  return out;
 }
 
 }  // namespace
@@ -334,30 +358,26 @@ Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
       profile, scratch->codes_a, scratch->codes_b, gaps, scratch));
 }
 
-Result<int64_t> BandedLocalAlignScore(std::string_view a, std::string_view b,
-                                      const SubstitutionMatrix& scoring,
-                                      const GapPenalties& gaps,
-                                      int64_t center_diagonal, size_t band,
-                                      AlignScratch* scratch) {
+Result<AlignmentStats> LocalAlignStats(std::string_view a,
+                                       std::string_view b,
+                                       const SubstitutionMatrix& scoring,
+                                       const GapPenalties& gaps,
+                                       AlignScratch* scratch) {
   GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  if (a.empty() || b.empty()) return int64_t{0};
+  if (a.empty() || b.empty()) return AlignmentStats();
   AlignScratch local;
   if (scratch == nullptr) scratch = &local;
   ScoringProfile profile(scoring);
   if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
     Metrics().full_dp_fallbacks->Increment();
     GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            LocalAlign(a, b, scoring, gaps));
-    return full.score;
+                            LocalAlign(a, b, scoring, gaps, scratch));
+    return AlignmentStats{full.score, full.Length(), full.Identities()};
   }
-  // The strip never usefully exceeds the full rectangle.
-  band = std::min(band, a.size() + b.size());
   profile.Encode(a, &scratch->codes_a);
   profile.Encode(b, &scratch->codes_b);
-  return static_cast<int64_t>(BandedLocalCore(profile, scratch->codes_a,
-                                              scratch->codes_b, gaps,
-                                              center_diagonal, band,
-                                              scratch));
+  return LocalStatsCore(profile, a, b, scratch->codes_a, scratch->codes_b,
+                        gaps, scratch);
 }
 
 Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,11 +20,8 @@ namespace genalg::align {
 /// They back every consumer that needs only a score or a thresholded
 /// verdict — the `resembles` predicate, the mediator's similarity search,
 /// the warehouse integrator's content matching, and `align_score` in SQL.
-
-/// Sentinel meaning "no diagonal hint": callers that have no seed
-/// information pass this and the banded pre-screen is skipped.
-inline constexpr int64_t kNoDiagonalHint =
-    std::numeric_limits<int64_t>::min();
+/// LocalAlignStats extends the same rows to the length and identity of
+/// the traced-back alignment, which is all `resembles` reads from it.
 
 /// Reusable per-worker DP scratch. All kernels (and the full-DP aligners,
 /// via their scratch overloads) carve their working memory out of one of
@@ -35,6 +31,14 @@ struct AlignScratch {
   // Rolling rows of the score-only kernels: M, X (gap in the inner
   // sequence) and max(M, X, Y) of the previous row.
   std::vector<int32_t> row_m, row_x, row_best;
+  // LocalAlignStats' rolling row: per column, the previous row's M, X
+  // and max(M, X, Y), each with the packed (length << 32 | identities)
+  // of the path its traceback would follow.
+  struct StatsCell {
+    int32_t m, x, best;
+    uint64_t m_stats, x_stats, best_stats;
+  };
+  std::vector<StatsCell> stats_row;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
   // Full-DP int64 arena borrowed by the traceback aligners.
@@ -99,17 +103,31 @@ Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
                                  const GapPenalties& gaps = GapPenalties(),
                                  AlignScratch* scratch = nullptr);
 
-/// Banded local score: only cells whose diagonal j - i (j indexes `b`,
-/// i indexes `a`) lies within `band` of `center_diagonal` are filled, in
-/// O(band) memory and O(band * |a|) time. Paths are confined to the band,
-/// so the result is a lower bound of LocalAlignScore and equals it
-/// whenever the band covers the optimal alignment (always true for
-/// band >= |a| + |b|). Seed-and-extend callers pass the dominant seed
-/// diagonal from KmerIndex::Candidate::best_diagonal.
-Result<int64_t> BandedLocalAlignScore(
+/// Score, column count and identical-column count of the alignment
+/// LocalAlign(a, b) returns, without its gapped strings.
+struct AlignmentStats {
+  int64_t score = 0;
+  size_t length = 0;
+  size_t identities = 0;
+
+  /// Same value as Alignment::Identity() of that alignment.
+  double Identity() const {
+    if (length == 0) return 0.0;
+    return static_cast<double>(identities) / static_cast<double>(length);
+  }
+};
+
+/// The statistics of exactly the alignment LocalAlign(a, b) would trace
+/// back, in one forward pass over O(|b|) memory: every DP cell carries
+/// the length and identity count of the path its traceback would follow.
+/// An identity is a column whose two raw characters are equal and not
+/// '-'. Rows run over `a` and columns over `b`, as in LocalAlign, since
+/// its tie order is not symmetric under swapping the inputs.
+Result<AlignmentStats> LocalAlignStats(
     std::string_view a, std::string_view b,
-    const SubstitutionMatrix& scoring, const GapPenalties& gaps,
-    int64_t center_diagonal, size_t band, AlignScratch* scratch = nullptr);
+    const SubstitutionMatrix& scoring,
+    const GapPenalties& gaps = GapPenalties(),
+    AlignScratch* scratch = nullptr);
 
 /// Thresholded local score with early termination: returns true iff
 /// LocalAlignScore(a, b) >= threshold, but stops filling rows as soon as

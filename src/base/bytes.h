@@ -130,6 +130,9 @@ class BytesReader {
   /// Reads n raw bytes into out.
   Status GetRaw(void* out, size_t n) {
     if (remaining() < n) return Truncated("raw bytes");
+    // memcpy needs non-null pointers even when n == 0, and reading into
+    // an empty buffer passes its null data().
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

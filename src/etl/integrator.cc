@@ -145,13 +145,10 @@ Result<std::vector<ReconciledEntry>> Integrator::Reconcile(
           size_t j = candidate.doc;
           if (j <= i) continue;  // Each pair once.
           if (clusters.Find(i) == clusters.Find(j)) continue;
-          // The dominant seed diagonal steers verification into a banded
-          // fill first; the verdict itself is hint-independent.
           GENALG_ASSIGN_OR_RETURN(
               bool similar,
               align::Resembles(corpus[i], corpus[j], options_.min_identity,
-                               options_.min_overlap,
-                               candidate.best_diagonal));
+                               options_.min_overlap));
           if (similar) clusters.Union(i, j);
         }
       }
@@ -164,20 +161,18 @@ Result<std::vector<ReconciledEntry>> Integrator::Reconcile(
                             const seq::NucleotideSequence*>>
           pairs;
       std::vector<std::pair<size_t, size_t>> pair_ids;
-      std::vector<int64_t> hints;
       for (size_t i = 0; i < entries.size(); ++i) {
         for (const auto& candidate : seeded[i]) {
           size_t j = candidate.doc;
           if (j <= i) continue;
           pairs.emplace_back(&corpus[i], &corpus[j]);
           pair_ids.emplace_back(i, j);
-          hints.push_back(candidate.best_diagonal);
         }
       }
       GENALG_ASSIGN_OR_RETURN(
           std::vector<bool> verdicts,
           align::BatchResembles(pairs, options_.min_identity,
-                                options_.min_overlap, pool, &hints));
+                                options_.min_overlap, pool));
       for (size_t p = 0; p < pair_ids.size(); ++p) {
         if (verdicts[p]) clusters.Union(pair_ids[p].first,
                                         pair_ids[p].second);

@@ -2,7 +2,6 @@
 
 #include "align/aligner.h"
 #include "gdt/ops.h"
-#include "index/kmer_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -11,11 +10,6 @@ namespace genalg::mediator {
 using formats::SequenceRecord;
 
 namespace {
-
-// Seed word length for similarity search: long enough that a shared
-// k-mer is a meaningful diagonal signal, short enough to survive ~80%
-// identity.
-constexpr size_t kSeedKmer = 12;
 
 struct MediatorMetrics {
   obs::Counter* queries;
@@ -121,30 +115,11 @@ Result<std::vector<Mediator::SimilarityHit>> Mediator::SimilarTo(
     for (const SequenceRecord& record : shipped) {
       targets.push_back(&record.sequence);
     }
-    // Seed each shipped sequence against the query so the verifier can
-    // start from a banded fill around the dominant shared-k-mer diagonal.
-    // Hints only steer the kernels — a hit or miss is decided exactly as
-    // if every pair ran the full alignment.
-    std::vector<int64_t> hints(targets.size(), align::kNoDiagonalHint);
-    {
-      std::vector<seq::NucleotideSequence> corpus;
-      corpus.reserve(shipped.size());
-      for (const SequenceRecord& record : shipped) {
-        corpus.push_back(record.sequence);
-      }
-      GENALG_ASSIGN_OR_RETURN(index::KmerIndex seeds,
-                              index::KmerIndex::Build(corpus, kSeedKmer));
-      for (const index::KmerIndex::Candidate& candidate :
-           seeds.FindCandidates(query)) {
-        hints[candidate.doc] = candidate.best_diagonal;
-      }
-    }
     // Verification fans out over the global pool; hits are collected in
     // shipping order, so the result is identical to the serial loop.
     GENALG_ASSIGN_OR_RETURN(
         std::vector<align::SimilarityVerdict> verdicts,
-        align::BatchSimilarity(query, targets, min_identity, min_overlap,
-                               /*pool=*/nullptr, &hints));
+        align::BatchSimilarity(query, targets, min_identity, min_overlap));
     for (size_t i = 0; i < shipped.size(); ++i) {
       if (!verdicts[i].hit) continue;
       hits.push_back(SimilarityHit{std::move(shipped[i]),

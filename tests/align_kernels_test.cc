@@ -26,6 +26,19 @@ constexpr std::string_view kProtein = "ARNDCQEGHILKMFPSTWYVBZX*jq";
 const GapPenalties kGapGrid[] = {
     {-5, -1}, {-2, -2}, {-10, -1}, {0, 0}, {-1, 0}, {-7, -3}};
 
+// Columns of a traced-back alignment whose two characters are equal and
+// not a gap: the count LocalAlignStats carries forward.
+size_t IdenticalColumns(const Alignment& alignment) {
+  size_t same = 0;
+  for (size_t k = 0; k < alignment.aligned_a.size(); ++k) {
+    if (alignment.aligned_a[k] == alignment.aligned_b[k] &&
+        alignment.aligned_a[k] != '-') {
+      ++same;
+    }
+  }
+  return same;
+}
+
 // ------------------------------------------------- Score-only == full DP.
 
 TEST(KernelTest, LocalScoreMatchesFullDpPropertySweep) {
@@ -120,59 +133,113 @@ TEST(KernelTest, Int32OverflowGuardFallsBackToFullDp) {
   EXPECT_EQ(LocalAlignScore(a, b, big, gaps).value(), full->score);
   EXPECT_EQ(GlobalAlignScore(a, b, big, gaps).value(),
             GlobalAlign(a, b, big, gaps)->score);
+  const AlignmentStats stats = LocalAlignStats(a, b, big, gaps).value();
+  EXPECT_EQ(stats.score, full->score);
+  EXPECT_EQ(stats.length, full->Length());
+  EXPECT_EQ(stats.identities, IdenticalColumns(*full));
 }
 
-// ------------------------------------------------------------- Banded.
+// ------------------------------------------ Carried stats == traceback.
 
-TEST(KernelTest, BandedCoveringBandEqualsUnbanded) {
-  Rng rng(11);
+// Inputs whose DP is full of ties between predecessors, between gap
+// extension and gap opening, and between equal-scoring end cells.
+std::vector<std::pair<std::string, std::string>> TieHeavyPairs(Rng* rng) {
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"AAAAAAAAAA", "AAAAAAA"},
+      {"AAAAAAA", "AAAAAAAAAA"},
+      {"ACACACACACAC", "ACACACAC"},
+      {"ACGACGACGACG", "ACGACG"},
+      {"ACGTTTTACGT", "ACGTACGT"},
+      {"ACGTACGT", "ACGTTTTACGT"},
+      {"ACGTACGTACGT", "TACGTACG"},
+      {"ACGTTGCAACGT", "ACGTNNNNACGT"},
+      {"RYSWKMBDHVN", "ACGTACGTACG"},
+      {"ACGT-ACGT", "ACGT-ACGT"},
+      {"acgtACGT", "ACGTacgt"},
+      {"", "ACGT"},
+      {"ACGT", ""},
+      {"", ""},
+  };
+  // DNA against its RNA transcript: T and U share a residue class and
+  // score as a match, but are different characters, so never identities.
+  const std::string dna = rng->RandomDna(60);
+  std::string rna = dna;
+  std::replace(rna.begin(), rna.end(), 'T', 'U');
+  pairs.emplace_back(dna, rna);
+  pairs.emplace_back(rna, dna);
+  for (int trial = 0; trial < 12; ++trial) {
+    // Gap-heavy copies: several indels of 1-6 bases plus substitutions.
+    const std::string a = rng->RandomString(20 + rng->Uniform(60), "ACGT");
+    std::string b;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (rng->Bernoulli(0.08)) {
+        i += rng->Uniform(6);  // Deletion.
+        continue;
+      }
+      if (rng->Bernoulli(0.08)) {
+        b += rng->RandomString(1 + rng->Uniform(6), "ACGT");  // Insertion.
+      }
+      b.push_back(rng->Bernoulli(0.05) ? rng->Pick("ACGTN") : a[i]);
+    }
+    pairs.emplace_back(a, b);
+    // Short-period repeats: tandem copies of a 1-3 base unit.
+    const std::string unit = rng->RandomString(1 + rng->Uniform(3), "ACGT");
+    std::string repeat_a, repeat_b;
+    for (size_t k = 1 + rng->Uniform(12); k > 0; --k) repeat_a += unit;
+    for (size_t k = 1 + rng->Uniform(12); k > 0; --k) repeat_b += unit;
+    pairs.emplace_back(repeat_a, repeat_b);
+  }
+  return pairs;
+}
+
+TEST(KernelTest, LocalStatsMatchTracebackPropertySweep) {
+  Rng rng(2025);
   AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  for (const GapPenalties& gaps : kGapGrid) {
-    for (int trial = 0; trial < 16; ++trial) {
-      const std::string a = rng.RandomString(rng.Uniform(48), kIupac);
-      const std::string b = rng.RandomString(rng.Uniform(48), kIupac);
-      const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-      // A band spanning every diagonal cannot exclude the optimum.
-      auto wide = BandedLocalAlignScore(a, b, nuc, gaps, 0,
-                                        a.size() + b.size(), &scratch);
-      ASSERT_TRUE(wide.ok());
-      EXPECT_EQ(*wide, exact) << "a=" << a << " b=" << b;
+  struct Case {
+    std::string_view alphabet;
+    const SubstitutionMatrix& scoring;
+  };
+  const Case cases[] = {
+      {kDna, SubstitutionMatrix::Nucleotide()},
+      {kDna, SubstitutionMatrix::Nucleotide(1, -1)},
+      {kIupac, SubstitutionMatrix::Nucleotide()},
+      {kProtein, SubstitutionMatrix::Blosum62()},
+  };
+  const auto check = [&](const std::string& a, const std::string& b,
+                         const SubstitutionMatrix& scoring,
+                         const GapPenalties& gaps) {
+    auto full = LocalAlign(a, b, scoring, gaps);
+    ASSERT_TRUE(full.ok());
+    auto stats = LocalAlignStats(a, b, scoring, gaps, &scratch);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->score, full->score)
+        << "a=" << a << " b=" << b << " open=" << gaps.open
+        << " extend=" << gaps.extend;
+    EXPECT_EQ(stats->length, full->Length())
+        << "a=" << a << " b=" << b << " open=" << gaps.open
+        << " extend=" << gaps.extend;
+    EXPECT_EQ(stats->identities, IdenticalColumns(*full))
+        << "a=" << a << " b=" << b << " open=" << gaps.open
+        << " extend=" << gaps.extend;
+    EXPECT_EQ(stats->Identity(), full->Identity());
+  };
+  for (const Case& c : cases) {
+    for (const GapPenalties& gaps : kGapGrid) {
+      for (int trial = 0; trial < 12; ++trial) {
+        check(rng.RandomString(rng.Uniform(64), c.alphabet),
+              rng.RandomString(rng.Uniform(64), c.alphabet), c.scoring,
+              gaps);
+      }
     }
   }
-}
-
-TEST(KernelTest, BandedIsLowerBoundOfUnbanded) {
-  Rng rng(13);
-  AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  const GapPenalties gaps;
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::string a = rng.RandomDna(1 + rng.Uniform(60));
-    const std::string b = rng.RandomDna(1 + rng.Uniform(60));
-    const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-    const int64_t center =
-        rng.UniformInt(-static_cast<int64_t>(a.size()),
-                       static_cast<int64_t>(b.size()));
-    auto banded = BandedLocalAlignScore(a, b, nuc, gaps, center,
-                                        rng.Uniform(12), &scratch);
-    ASSERT_TRUE(banded.ok());
-    EXPECT_LE(*banded, exact);
-    EXPECT_GE(*banded, 0);
+  const std::vector<std::pair<std::string, std::string>> ties =
+      TieHeavyPairs(&rng);
+  for (const auto& [a, b] : ties) {
+    for (const GapPenalties& gaps : kGapGrid) {
+      check(a, b, SubstitutionMatrix::Nucleotide(), gaps);
+      check(a, b, SubstitutionMatrix::Nucleotide(1, -1), gaps);
+    }
   }
-}
-
-TEST(KernelTest, BandedAroundTrueDiagonalFindsRelatedPair) {
-  // A mutated copy shifted by a known offset: the band centered on that
-  // offset must recover the full score.
-  Rng rng(17);
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  const GapPenalties gaps;
-  const std::string core = rng.RandomDna(200);
-  std::string a = core;
-  std::string b = rng.RandomDna(37) + core;  // Diagonal j - i = +37.
-  const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-  EXPECT_EQ(BandedLocalAlignScore(a, b, nuc, gaps, 37, 8).value(), exact);
 }
 
 // ----------------------------------------------------- Early termination.
@@ -215,17 +282,27 @@ TEST(KernelTest, ResemblesVerdictsMatchFullEvaluation) {
   Rng rng(31);
   const double identities[] = {0.0, 0.5, 0.8, 0.95, 1.0};
   const size_t overlaps[] = {0, 4, 16, 64, 500};
-  for (int trial = 0; trial < 30; ++trial) {
-    // Mix of related pairs (mutated copies) and unrelated noise.
-    std::string sa = rng.RandomDna(40 + rng.Uniform(120));
+  for (int trial = 0; trial < 40; ++trial) {
+    // Mix of related pairs (mutated copies, half of them with indels)
+    // and unrelated noise; half the trials draw IUPAC codes as well.
+    const std::string_view alphabet =
+        trial % 4 < 2 ? kDna : std::string_view("ACGTRYSWKMBDHVN");
+    const bool indels = trial % 8 < 4;
+    std::string sa = rng.RandomString(40 + rng.Uniform(120), alphabet);
     std::string sb;
     if (trial % 2 == 0) {
-      sb = sa;
-      for (char& ch : sb) {
-        if (rng.Bernoulli(0.12)) ch = rng.Pick(kDna);
+      for (size_t i = 0; i < sa.size(); ++i) {
+        if (indels && rng.Bernoulli(0.03)) {
+          i += rng.Uniform(4);  // Deletion.
+          continue;
+        }
+        if (indels && rng.Bernoulli(0.03)) {
+          sb += rng.RandomString(1 + rng.Uniform(4), alphabet);
+        }
+        sb.push_back(rng.Bernoulli(0.12) ? rng.Pick(alphabet) : sa[i]);
       }
     } else {
-      sb = rng.RandomDna(40 + rng.Uniform(120));
+      sb = rng.RandomString(40 + rng.Uniform(120), alphabet);
     }
     auto a = NucleotideSequence::Dna(sa).value();
     auto b = NucleotideSequence::Dna(sb).value();
@@ -236,13 +313,8 @@ TEST(KernelTest, ResemblesVerdictsMatchFullEvaluation) {
                 .value();
         EXPECT_EQ(Resembles(a, b, min_identity, min_overlap).value(),
                   expected)
-            << "identity=" << min_identity << " overlap=" << min_overlap;
-        // A hint — right, wrong, or absurd — must never flip a verdict.
-        const int64_t hint = rng.UniformInt(-200, 200);
-        EXPECT_EQ(
-            Resembles(a, b, min_identity, min_overlap, hint).value(),
-            expected)
-            << "hint=" << hint;
+            << "a=" << sa << " b=" << sb << " identity=" << min_identity
+            << " overlap=" << min_overlap;
       }
     }
   }
@@ -277,36 +349,28 @@ TEST(KernelTest, BatchResemblesIdenticalAcrossPoolSizes) {
   std::vector<std::pair<const NucleotideSequence*,
                         const NucleotideSequence*>>
       pairs;
-  std::vector<int64_t> hints;
   for (size_t i = 0; i < store.size(); ++i) {
     for (size_t j = i + 1; j < store.size(); j += 3) {
       pairs.emplace_back(&store[i], &store[j]);
-      hints.push_back(rng.Bernoulli(0.5) ? rng.UniformInt(-40, 40)
-                                         : kNoDiagonalHint);
     }
   }
   ThreadPool serial(1);
-  auto baseline = BatchResembles(pairs, 0.8, 16, &serial, &hints);
+  auto baseline = BatchResembles(pairs, 0.8, 16, &serial);
   ASSERT_TRUE(baseline.ok());
   // The serial batch equals the one-call-at-a-time loop...
   for (size_t p = 0; p < pairs.size(); ++p) {
     EXPECT_EQ((*baseline)[p],
-              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16,
-                        hints[p])
-                  .value());
+              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16).value());
   }
   // ...and every pool size reproduces it, with per-worker scratch reuse.
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     for (int repeat = 0; repeat < 3; ++repeat) {
-      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool, &hints);
+      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool);
       ASSERT_TRUE(verdicts.ok());
       EXPECT_EQ(*verdicts, *baseline) << "threads=" << threads;
     }
   }
-  // Mis-sized hint vectors are rejected.
-  std::vector<int64_t> short_hints(pairs.size() - 1, kNoDiagonalHint);
-  EXPECT_FALSE(BatchResembles(pairs, 0.8, 16, &serial, &short_hints).ok());
 }
 
 TEST(KernelTest, BatchSimilarityMatchesDirectLoop) {
@@ -366,12 +430,14 @@ TEST(KernelTest, ScratchReuseDoesNotLeakStateAcrossCalls) {
                       .value(),
                   GlobalAlignScore(a, b, nuc).value());
         break;
-      default:
-        EXPECT_EQ(BandedLocalAlignScore(a, b, nuc, GapPenalties(), 3, 9,
-                                        &scratch)
-                      .value(),
-                  BandedLocalAlignScore(a, b, nuc, GapPenalties(), 3, 9)
-                      .value());
+      default: {
+        const AlignmentStats reused =
+            LocalAlignStats(a, b, nuc, GapPenalties(), &scratch).value();
+        const AlignmentStats fresh = LocalAlignStats(a, b, nuc).value();
+        EXPECT_EQ(reused.score, fresh.score);
+        EXPECT_EQ(reused.length, fresh.length);
+        EXPECT_EQ(reused.identities, fresh.identities);
+      }
     }
   }
 }

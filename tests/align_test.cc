@@ -189,58 +189,6 @@ TEST(LocalAlignTest, SubsequenceAlignsPerfectly) {
   EXPECT_DOUBLE_EQ(r->Identity(), 1.0);
 }
 
-// ------------------------------------------------------ BandedGlobalAlign.
-
-TEST(BandedAlignTest, WideBandMatchesFullNw) {
-  Rng rng(17);
-  for (int trial = 0; trial < 8; ++trial) {
-    std::string a = rng.RandomDna(20 + rng.Uniform(30));
-    std::string b = rng.RandomDna(20 + rng.Uniform(30));
-    // Linear-gap NW is affine NW with open = 0.
-    auto full = GlobalAlign(a, b, SubstitutionMatrix::Nucleotide(),
-                            GapPenalties{0, -2});
-    auto banded = BandedGlobalAlign(a, b, SubstitutionMatrix::Nucleotide(),
-                                    -2, std::max(a.size(), b.size()));
-    ASSERT_TRUE(full.ok() && banded.ok());
-    EXPECT_EQ(banded->score, full->score);
-  }
-}
-
-TEST(BandedAlignTest, NarrowBandAlignsSimilarSequences) {
-  Rng rng(19);
-  std::string a = rng.RandomDna(200);
-  std::string b = a;
-  b[50] = b[50] == 'A' ? 'C' : 'A';  // One substitution.
-  auto r = BandedGlobalAlign(a, b, SubstitutionMatrix::Nucleotide(2, -1),
-                             -2, 4);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->score, 199 * 2 - 1);
-}
-
-TEST(BandedAlignTest, BandMustBridgeLengthDifference) {
-  EXPECT_TRUE(BandedGlobalAlign("AAAAAAAAAA", "AA",
-                                SubstitutionMatrix::Nucleotide(), -1, 3)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(BandedAlignTest, TracebackReproducesInputs) {
-  Rng rng(23);
-  std::string a = rng.RandomDna(100);
-  std::string b = a.substr(0, 40) + a.substr(45);  // 5-base deletion.
-  auto r = BandedGlobalAlign(a, b, SubstitutionMatrix::Nucleotide(), -2, 8);
-  ASSERT_TRUE(r.ok());
-  std::string sa, sb;
-  for (char c : r->aligned_a) {
-    if (c != '-') sa.push_back(c);
-  }
-  for (char c : r->aligned_b) {
-    if (c != '-') sb.push_back(c);
-  }
-  EXPECT_EQ(sa, a);
-  EXPECT_EQ(sb, b);
-}
-
 // -------------------------------------------------------------- Resembles.
 
 TEST(ResemblesTest, PaperStyleSimilarityPredicate) {
