@@ -1,8 +1,9 @@
 // Durability tour: the archival story of C15 and the persistence layer.
 //
-// Act 1: a warehouse is loaded from a repository and persisted to disk
-//        (pages + catalog).
-// Act 2: the process "restarts": a brand-new stack attaches to the same
+// Act 1: a warehouse is loaded from a repository, then a write-ahead log
+//        is attached, whose first checkpoint makes the pages and the
+//        catalog durable.
+// Act 2: the process "restarts": a brand-new stack recovers from the same
 //        files and keeps answering queries — with its indexes rebuilt.
 // Act 3: the repository vanishes; the warehouse exports a GenAlgXML
 //        archive, which a third, empty warehouse imports.
@@ -19,15 +20,16 @@
 #include "udb/adapter.h"
 #include "udb/database.h"
 #include "udb/storage.h"
+#include "udb/wal.h"
 
 int main() {
   using namespace genalg;
   const char* tmpdir = std::getenv("TMPDIR");
   std::string base = (tmpdir != nullptr ? tmpdir : "/tmp");
   std::string db_path = base + "/genalg_durability.db";
-  std::string catalog_path = db_path + ".catalog";
+  std::string wal_path = db_path + ".wal";
   std::remove(db_path.c_str());
-  std::remove(catalog_path.c_str());
+  std::remove(wal_path.c_str());
 
   algebra::SignatureRegistry registry;
   if (!algebra::RegisterStandardAlgebra(&registry).ok()) return 1;
@@ -36,7 +38,7 @@ int main() {
 
   std::string archive_xml;
 
-  // ------------------------------------------------ Act 1: load + save.
+  // ------------------------------------------ Act 1: load + checkpoint.
   {
     auto disk = udb::FileDiskManager::Open(db_path);
     if (!disk.ok()) return 1;
@@ -53,12 +55,16 @@ int main() {
     (void)db.CreateKmerIndex("sequences", "seq");
     auto derived = warehouse.DeriveProteins();
     std::printf("act 1: loaded %lld entities, derived %lld proteins, "
-                "saving to %s\n",
+                "checkpointing to %s\n",
                 static_cast<long long>(*warehouse.SequenceCount()),
                 derived.ok() ? static_cast<long long>(*derived) : -1LL,
                 db_path.c_str());
-    if (Status s = db.SaveCatalog(catalog_path); !s.ok()) {
-      std::fprintf(stderr, "save failed: %s\n", s.ToString().c_str());
+    // The bulk load ran without a log; the checkpoint written when the
+    // log is attached flushes and fsyncs every page and logs the catalog.
+    auto wal = udb::FileWalFile::Open(wal_path);
+    if (!wal.ok()) return 1;
+    if (Status s = db.EnableWal(std::move(*wal)); !s.ok()) {
+      std::fprintf(stderr, "checkpoint failed: %s\n", s.ToString().c_str());
       return 1;
     }
     auto xml = warehouse.ExportGenAlgXml();
@@ -68,14 +74,16 @@ int main() {
                 archive_xml.size());
   }  // Stack destroyed: "process exit".
 
-  // --------------------------------------------- Act 2: attach + query.
+  // -------------------------------------------- Act 2: recover + query.
   {
     auto disk = udb::FileDiskManager::Open(db_path);
     if (!disk.ok()) return 1;
-    auto db = udb::Database::Attach(&adapter, std::move(*disk),
-                                    catalog_path, 64);
+    auto wal = udb::FileWalFile::Open(wal_path);
+    if (!wal.ok()) return 1;
+    auto db = udb::Database::Recover(&adapter, std::move(*disk),
+                                     std::move(*wal), 64);
     if (!db.ok()) {
-      std::fprintf(stderr, "attach failed: %s\n",
+      std::fprintf(stderr, "recovery failed: %s\n",
                    db.status().ToString().c_str());
       return 1;
     }
@@ -87,7 +95,7 @@ int main() {
         "parse_dna('ATTGCCATAT'))");
     if (!count.ok() || !proteins.ok() || !indexed.ok()) return 1;
     std::printf(
-        "act 2: reattached database answers — %lld sequences, %lld "
+        "act 2: recovered database answers — %lld sequences, %lld "
         "proteins (avg %.0f Da), k-mer index rebuilt and used "
         "(rows touched: %llu)\n",
         static_cast<long long>(*count->rows[0][0].AsInt()),
@@ -114,6 +122,6 @@ int main() {
   }
 
   std::remove(db_path.c_str());
-  std::remove(catalog_path.c_str());
+  std::remove(wal_path.c_str());
   return 0;
 }

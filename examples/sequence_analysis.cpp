@@ -80,10 +80,9 @@ int main() {
   auto read_seq = seq::NucleotideSequence::Dna(read).value();
   auto candidates = kmer_index.FindCandidates(read_seq, 3);
   if (!candidates.empty()) {
-    std::printf("k-mer index maps the noisy read to chunk %u "
-                "(diagonal %lld, %u shared 13-mers)\n",
-                candidates[0].doc,
-                static_cast<long long>(candidates[0].best_diagonal),
+    std::printf("k-mer index maps the noisy read to chunk %llu "
+                "(%u shared 13-mers)\n",
+                static_cast<unsigned long long>(candidates[0].doc),
                 candidates[0].shared_kmers);
     // Confirm with a local alignment against the winning chunk.
     auto alignment = align::LocalAlign(read_seq, corpus[candidates[0].doc]);

@@ -127,7 +127,7 @@ Result<std::vector<ReconciledEntry>> Integrator::Reconcile(
         index::KmerIndex kmer_index,
         index::KmerIndex::Build(corpus, options_.kmer_k, pool));
     // Seeding: rank candidate partners for every entry over the pool
-    // (the index is immutable, so concurrent reads are free). Requiring
+    // (concurrent const reads of the index need no locking). Requiring
     // a meaningful number of shared seeds keeps extension rare.
     std::vector<std::vector<index::KmerIndex::Candidate>> seeded(
         entries.size());

@@ -1,8 +1,9 @@
 #include "index/kmer_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -21,25 +22,28 @@ int TwoBit(seq::BaseCode code) {
   }
 }
 
-// One (k-mer, posting) pair produced by the scan phase.
-struct Entry {
-  uint64_t kmer;
-  KmerIndex::Posting posting;
-};
-
-// The canonical posting order: by k-mer, then document, then position.
-// Triples are unique, so this total order makes the merged layout
-// independent of how the scan work was sharded.
-bool EntryLess(const Entry& a, const Entry& b) {
-  if (a.kmer != b.kmer) return a.kmer < b.kmer;
-  if (a.posting.doc != b.posting.doc) return a.posting.doc < b.posting.doc;
-  return a.posting.position < b.posting.position;
-}
-
-// Partitions are the high bits of the packed k-mer, so ascending partition
-// id concatenation preserves ascending k-mer order across partitions.
+// Partitions are the high bits of the packed k-mer.
 constexpr size_t kPartitionBits = 6;
 constexpr size_t kPartitions = size_t{1} << kPartitionBits;
+
+// Hands `visit` the word of each k-window of `sequence` in order: the
+// packed k-mer, or kAmbiguousWord for a window holding an ambiguity code.
+// One rolling pass, O(sequence length).
+template <typename Visit>
+void ForEachWindow(const seq::NucleotideSequence& sequence, size_t k,
+                   Visit&& visit) {
+  const uint64_t mask = (uint64_t{1} << (2 * k)) - 1;
+  uint64_t packed = 0;
+  size_t clean = 0;  // Unambiguous bases ending at position i.
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    const int bits = TwoBit(sequence.At(i));
+    clean = bits < 0 ? 0 : clean + 1;
+    packed = ((packed << 2) | static_cast<uint64_t>(bits & 3)) & mask;
+    if (i + 1 >= k) {
+      visit(clean >= k ? packed : KmerIndex::kAmbiguousWord);
+    }
+  }
+}
 
 }  // namespace
 
@@ -56,6 +60,27 @@ bool PackKmer(const seq::NucleotideSequence& sequence, size_t pos, size_t k,
   return true;
 }
 
+KmerIndex::KmerIndex(size_t k) : k_(k), partitions_(kPartitions) {}
+
+size_t KmerIndex::PartitionOf(uint64_t word) const {
+  // k >= 4, so a packed word has at least kPartitionBits bits; the mask
+  // folds kAmbiguousWord into the last partition.
+  return (word >> (2 * k_ - kPartitionBits)) & (kPartitions - 1);
+}
+
+std::vector<uint64_t> KmerIndex::Words(
+    const seq::NucleotideSequence& sequence) const {
+  std::vector<uint64_t> words;
+  if (sequence.size() < k_) return words;
+  words.reserve(sequence.size() - k_ + 1);
+  ForEachWindow(sequence, k_, [&words](uint64_t word) {
+    words.push_back(word);
+  });
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  return words;
+}
+
 Result<KmerIndex> KmerIndex::Build(
     const std::vector<seq::NucleotideSequence>& corpus, size_t k,
     ThreadPool* pool) {
@@ -63,156 +88,120 @@ Result<KmerIndex> KmerIndex::Build(
     return Status::InvalidArgument("k must be in [4, 31], got " +
                                    std::to_string(k));
   }
+  KmerIndex idx(k);
+  if (corpus.empty()) return idx;
   if (pool == nullptr) pool = ThreadPool::Global();
-  KmerIndex idx;
-  idx.k_ = k;
-  idx.doc_lengths_.reserve(corpus.size());
-  for (const seq::NucleotideSequence& s : corpus) {
-    idx.doc_lengths_.push_back(static_cast<uint32_t>(s.size()));
-  }
-  const size_t partition_shift = 2 * k - kPartitionBits;  // k >= 4.
 
   // ---- Scan: shard documents into contiguous chunks; each chunk emits
-  // per-partition entry runs. Chunk geometry depends only on the corpus,
-  // and every entry lands in a slot keyed by (chunk, partition), so the
-  // scan is race-free and its output independent of scheduling.
+  // per-partition (word, doc) runs in document order. Chunk geometry
+  // depends only on the corpus, and every run lands in a slot keyed by
+  // (chunk, partition), so the scan is race-free.
   const size_t grain = std::max<size_t>(
       1, (corpus.size() + pool->size() * 4 - 1) / (pool->size() * 4));
-  const size_t chunks = corpus.empty()
-                            ? 0
-                            : (corpus.size() + grain - 1) / grain;
-  std::vector<std::vector<std::vector<Entry>>> scanned(
-      chunks, std::vector<std::vector<Entry>>(kPartitions));
+  const size_t chunks = (corpus.size() + grain - 1) / grain;
+  using Run = std::vector<std::pair<uint64_t, uint64_t>>;
+  std::vector<std::vector<Run>> scanned(chunks,
+                                        std::vector<Run>(kPartitions));
   pool->ParallelFor(0, corpus.size(), grain, [&](size_t lo, size_t hi) {
-    std::vector<std::vector<Entry>>& buckets = scanned[lo / grain];
+    std::vector<Run>& runs = scanned[lo / grain];
     for (size_t doc = lo; doc < hi; ++doc) {
-      const seq::NucleotideSequence& s = corpus[doc];
-      if (s.size() < k) continue;
-      for (size_t pos = 0; pos + k <= s.size(); ++pos) {
-        uint64_t packed;
-        if (!PackKmer(s, pos, k, &packed)) continue;
-        buckets[packed >> partition_shift].push_back(
-            Entry{packed, Posting{static_cast<uint32_t>(doc),
-                                  static_cast<uint32_t>(pos)}});
+      for (uint64_t word : idx.Words(corpus[doc])) {
+        runs[idx.PartitionOf(word)].emplace_back(word, doc);
       }
     }
   });
 
-  // ---- Merge: per partition, concatenate the chunk runs and sort into
-  // the canonical (kmer, doc, position) order. Partitions are disjoint
-  // k-mer ranges, so they merge independently.
-  std::vector<std::vector<Entry>> merged(kPartitions);
-  std::vector<size_t> distinct(kPartitions, 0);
+  // ---- Fill: one task per partition appends the chunk runs in chunk
+  // order, i.e. document order, so every posting list comes out sorted
+  // and distinct with no sort, whatever the pool size.
   pool->ParallelFor(0, kPartitions, 1, [&](size_t lo, size_t hi) {
     for (size_t p = lo; p < hi; ++p) {
-      size_t total = 0;
-      for (size_t c = 0; c < chunks; ++c) total += scanned[c][p].size();
-      std::vector<Entry>& entries = merged[p];
-      entries.reserve(total);
+      Partition& partition = idx.partitions_[p];
+      // Each pair adds at most one key: reserving for all of them spares
+      // the rehashes of a growing map.
+      size_t pairs = 0;
+      for (size_t c = 0; c < chunks; ++c) pairs += scanned[c][p].size();
+      partition.reserve(pairs);
       for (size_t c = 0; c < chunks; ++c) {
-        entries.insert(entries.end(), scanned[c][p].begin(),
-                       scanned[c][p].end());
-        scanned[c][p].clear();
-        scanned[c][p].shrink_to_fit();
-      }
-      std::sort(entries.begin(), entries.end(), EntryLess);
-      size_t keys = 0;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (i == 0 || entries[i].kmer != entries[i - 1].kmer) ++keys;
-      }
-      distinct[p] = keys;
-    }
-  });
-
-  // ---- Layout: ascending partition concatenation is ascending k-mer
-  // order; per-partition bases let every partition write its slice of the
-  // final arrays without coordination.
-  std::vector<size_t> key_base(kPartitions + 1, 0);
-  std::vector<size_t> posting_base(kPartitions + 1, 0);
-  for (size_t p = 0; p < kPartitions; ++p) {
-    key_base[p + 1] = key_base[p] + distinct[p];
-    posting_base[p + 1] = posting_base[p] + merged[p].size();
-  }
-  idx.keys_.resize(key_base[kPartitions]);
-  idx.offsets_.resize(key_base[kPartitions] + 1);
-  idx.postings_.resize(posting_base[kPartitions]);
-  idx.offsets_.back() = posting_base[kPartitions];
-  pool->ParallelFor(0, kPartitions, 1, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      const std::vector<Entry>& entries = merged[p];
-      size_t key = key_base[p];
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (i == 0 || entries[i].kmer != entries[i - 1].kmer) {
-          idx.keys_[key] = entries[i].kmer;
-          idx.offsets_[key] = posting_base[p] + i;
-          ++key;
+        for (const auto& [word, doc] : scanned[c][p]) {
+          partition[word].push_back(doc);
         }
-        idx.postings_[posting_base[p] + i] = entries[i].posting;
       }
     }
   });
   return idx;
 }
 
-std::pair<const KmerIndex::Posting*, const KmerIndex::Posting*>
-KmerIndex::Postings(uint64_t packed) const {
+void KmerIndex::Add(uint64_t doc, const seq::NucleotideSequence& sequence) {
+  for (uint64_t word : Words(sequence)) {
+    std::vector<uint64_t>& docs = partitions_[PartitionOf(word)][word];
+    auto it = std::lower_bound(docs.begin(), docs.end(), doc);
+    if (it == docs.end() || *it != doc) docs.insert(it, doc);
+  }
+}
+
+void KmerIndex::Remove(uint64_t doc,
+                       const seq::NucleotideSequence& sequence) {
+  for (uint64_t word : Words(sequence)) {
+    Partition& partition = partitions_[PartitionOf(word)];
+    auto entry = partition.find(word);
+    if (entry == partition.end()) continue;
+    std::vector<uint64_t>& docs = entry->second;
+    auto it = std::lower_bound(docs.begin(), docs.end(), doc);
+    if (it != docs.end() && *it == doc) docs.erase(it);
+    if (docs.empty()) partition.erase(entry);
+  }
+}
+
+std::span<const uint64_t> KmerIndex::Postings(uint64_t word) const {
   static obs::Counter* lookups =
       obs::Registry::Global().GetCounter("index.kmer.lookups");
   static obs::Counter* scanned =
       obs::Registry::Global().GetCounter("index.kmer.postings_scanned");
   lookups->Increment();
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), packed);
-  if (it == keys_.end() || *it != packed) {
-    return {nullptr, nullptr};
-  }
-  size_t i = static_cast<size_t>(it - keys_.begin());
-  scanned->Add(offsets_[i + 1] - offsets_[i]);
-  return {postings_.data() + offsets_[i], postings_.data() + offsets_[i + 1]};
+  const Partition& partition = partitions_[PartitionOf(word)];
+  auto it = partition.find(word);
+  if (it == partition.end()) return {};
+  scanned->Add(it->second.size());
+  return it->second;
 }
 
-Result<std::vector<KmerIndex::Posting>> KmerIndex::Lookup(
-    std::string_view kmer) const {
-  if (kmer.size() != k_) {
-    return Status::InvalidArgument("k-mer length " +
-                                   std::to_string(kmer.size()) +
-                                   " does not match index k " +
-                                   std::to_string(k_));
+std::vector<uint64_t> KmerIndex::ContainsCandidates(
+    const seq::NucleotideSequence& pattern) const {
+  std::vector<uint64_t> candidates;
+  for (size_t pos = 0, probes = 0;
+       pos + k_ <= pattern.size() && probes < 16; pos += k_, ++probes) {
+    uint64_t packed;
+    if (!PackKmer(pattern, pos, k_, &packed)) break;
+    std::span<const uint64_t> hits = Postings(packed);
+    if (probes == 0) {
+      candidates.assign(hits.begin(), hits.end());
+    } else {
+      std::vector<uint64_t> both;
+      std::set_intersection(candidates.begin(), candidates.end(),
+                            hits.begin(), hits.end(),
+                            std::back_inserter(both));
+      candidates = std::move(both);
+    }
+    if (candidates.empty()) break;
   }
-  auto seq = seq::NucleotideSequence::Dna(kmer);
-  if (!seq.ok()) return seq.status();
-  uint64_t packed;
-  if (!PackKmer(*seq, 0, k_, &packed)) {
-    return Status::InvalidArgument("k-mer contains ambiguous bases");
-  }
-  auto [begin, end] = Postings(packed);
-  return std::vector<Posting>(begin, end);
+  std::span<const uint64_t> ambiguous = Postings(kAmbiguousWord);
+  std::vector<uint64_t> merged;
+  std::set_union(candidates.begin(), candidates.end(), ambiguous.begin(),
+                 ambiguous.end(), std::back_inserter(merged));
+  return merged;
 }
 
 std::vector<KmerIndex::Candidate> KmerIndex::FindCandidates(
     const seq::NucleotideSequence& query, uint32_t min_shared) const {
-  // doc -> (shared count, diagonal histogram).
-  std::map<uint32_t, std::map<int64_t, uint32_t>> hits;
-  for (size_t pos = 0; pos + k_ <= query.size(); ++pos) {
-    uint64_t packed;
-    if (!PackKmer(query, pos, k_, &packed)) continue;
-    auto [begin, end] = Postings(packed);
-    for (const Posting* p = begin; p != end; ++p) {
-      ++hits[p->doc][static_cast<int64_t>(p->position) -
-                     static_cast<int64_t>(pos)];
-    }
-  }
+  std::unordered_map<uint64_t, uint32_t> shared;
+  ForEachWindow(query, k_, [&](uint64_t word) {
+    if (word == kAmbiguousWord) return;
+    for (uint64_t doc : Postings(word)) ++shared[doc];
+  });
   std::vector<Candidate> out;
-  for (const auto& [doc, diagonals] : hits) {
-    Candidate c{doc, 0, 0};
-    uint32_t best_diag_count = 0;
-    for (const auto& [diag, count] : diagonals) {
-      c.shared_kmers += count;
-      if (count > best_diag_count) {
-        best_diag_count = count;
-        c.best_diagonal = diag;
-      }
-    }
-    if (c.shared_kmers >= min_shared) out.push_back(c);
+  for (const auto& [doc, count] : shared) {
+    if (count >= min_shared) out.push_back(Candidate{doc, count});
   }
   std::sort(out.begin(), out.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -221,23 +210,6 @@ std::vector<KmerIndex::Candidate> KmerIndex::FindCandidates(
                          : a.doc < b.doc;
             });
   return out;
-}
-
-double KmerIndex::EstimateContainsSelectivity(size_t pattern_length) const {
-  if (doc_lengths_.empty()) return 0.0;
-  // P[pattern at a fixed position] = 4^-len under a uniform base model;
-  // expected matches per document ~= (len_doc - len_pat + 1) * 4^-len_pat,
-  // and P[>=1 occurrence] ~= 1 - exp(-expected).
-  double log4 = std::log(4.0);
-  double sum = 0.0;
-  for (uint32_t len : doc_lengths_) {
-    if (len < pattern_length) continue;
-    double positions = static_cast<double>(len - pattern_length + 1);
-    double expected =
-        positions * std::exp(-static_cast<double>(pattern_length) * log4);
-    sum += 1.0 - std::exp(-expected);
-  }
-  return sum / static_cast<double>(doc_lengths_.size());
 }
 
 }  // namespace genalg::index

@@ -2,7 +2,8 @@
 #define GENALG_INDEX_KMER_INDEX_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "base/result.h"
@@ -11,85 +12,83 @@
 
 namespace genalg::index {
 
-/// An inverted index from k-mers to (document, position) postings over a
-/// corpus of sequences — the seeded-similarity index of Sec. 6.5, used by
-/// the Unifying Database for `resembles` predicates (seed, then extend
-/// with a banded alignment) and by the warehouse integrator for candidate
-/// entity matching.
+/// An inverted index from k-mers to the documents containing them — the
+/// genomic index of Sec. 6.5. The Unifying Database keeps one per indexed
+/// nucseq column as the contains() prefilter (documents are packed
+/// RecordIds, maintained row by row); the warehouse integrator builds one
+/// per batch to seed candidate entity matches (documents are corpus
+/// positions).
 ///
-/// Only unambiguous k-mers (pure A/C/G/T windows) are indexed; ambiguous
-/// windows are skipped, which makes lookups conservative: a hit is always
-/// real, a miss may still align (handled by the caller's fallback).
+/// Each word maps to its sorted, distinct document ids. Every window that
+/// holds an ambiguity code is posted under the one reserved word
+/// kAmbiguousWord, so a document with an N is a contains() candidate for
+/// every pattern; similarity seeding never probes that word.
 ///
-/// Storage is a single sorted flat layout: one contiguous `Posting`
-/// array grouped by k-mer, plus a sorted key array and an offset table.
-/// A lookup is one binary search over contiguous memory; iteration over a
-/// posting list never chases pointers. The index is immutable once built,
-/// so concurrent readers need no synchronization.
+/// Words are spread over partitions by their high bits, so a bulk Build
+/// fills each partition as one independent task. Mutation (Add, Remove)
+/// needs exclusive access; concurrent const readers need no
+/// synchronization.
 class KmerIndex {
  public:
-  /// A posting: document `doc` contains the k-mer at `position`.
-  struct Posting {
-    uint32_t doc;
-    uint32_t position;
-  };
+  /// The word of every window holding an ambiguity code. Packed k-mers
+  /// (k <= 31) use at most 62 bits and never collide with it.
+  static constexpr uint64_t kAmbiguousWord = ~uint64_t{0};
 
-  /// A candidate document with its shared-seed statistics.
+  /// A candidate document with the number of query windows whose k-mer
+  /// it contains.
   struct Candidate {
-    uint32_t doc;
-    uint32_t shared_kmers;      ///< Number of query k-mers found in doc.
-    int64_t best_diagonal;      ///< Most common (doc_pos - query_pos).
+    uint64_t doc;
+    uint32_t shared_kmers;
   };
 
-  /// Builds an index with word length k in [4, 31]. Construction shards
-  /// the corpus across `pool` (nullptr ⇒ ThreadPool::Global()) into
-  /// per-shard posting runs partitioned by high k-mer bits, then merges
-  /// the partitions deterministically: the result is identical for every
-  /// pool size, including the serial size-1 pool.
+  /// Indexes corpus[i] as document i with word length k in [4, 31]; an
+  /// empty corpus gives an empty index to fill with Add. The scan shards
+  /// the corpus across `pool` (nullptr ⇒ ThreadPool::Global()) and each
+  /// partition is filled by one task in document order, so the result is
+  /// identical for every pool size.
   static Result<KmerIndex> Build(
       const std::vector<seq::NucleotideSequence>& corpus, size_t k,
       ThreadPool* pool = nullptr);
 
   size_t k() const { return k_; }
-  size_t corpus_size() const { return doc_lengths_.size(); }
 
-  /// All postings of one exact k-mer (by string, e.g. "ACGTACGT");
-  /// InvalidArgument if the word length differs from k or is ambiguous.
-  Result<std::vector<Posting>> Lookup(std::string_view kmer) const;
+  /// Posts `doc` under each distinct word of `sequence`; a sequence
+  /// shorter than k posts nothing. Costs time in the sequence's words.
+  void Add(uint64_t doc, const seq::NucleotideSequence& sequence);
 
-  /// The posting run of one packed k-mer as a view into the flat array
-  /// (empty when absent). Zero-copy companion of Lookup.
-  std::pair<const Posting*, const Posting*> Postings(uint64_t packed) const;
+  /// Undoes Add(doc, sequence), dropping words left without documents.
+  void Remove(uint64_t doc, const seq::NucleotideSequence& sequence);
 
-  /// Ranks corpus documents by the number of query k-mers they share,
-  /// dropping documents below `min_shared`. Candidates are sorted by
-  /// descending shared_kmers. The dominant diagonal per candidate enables
-  /// a subsequent banded alignment.
+  /// The sorted documents posted under one word (empty when absent).
+  /// Every probe goes through here and feeds the index.kmer.lookups and
+  /// index.kmer.postings_scanned counters.
+  std::span<const uint64_t> Postings(uint64_t word) const;
+
+  /// A superset of the documents containing `pattern` (which has no
+  /// ambiguity codes): a document containing it contains each of its
+  /// k-mers, so the postings of up to 16 non-overlapping windows are
+  /// intersected, then united with the documents posted under
+  /// kAmbiguousWord. Sorted.
+  std::vector<uint64_t> ContainsCandidates(
+      const seq::NucleotideSequence& pattern) const;
+
+  /// Documents containing the k-mer of at least `min_shared` unambiguous
+  /// query windows, by descending shared_kmers, then ascending doc.
   std::vector<Candidate> FindCandidates(
       const seq::NucleotideSequence& query, uint32_t min_shared = 1) const;
 
-  /// Estimated fraction of corpus documents containing a random pattern of
-  /// the given length; used by the query optimizer to cost `contains`
-  /// predicates (Sec. 6.5 "selectivity of genomic predicates").
-  double EstimateContainsSelectivity(size_t pattern_length) const;
-
-  /// Total number of postings stored.
-  size_t TotalPostings() const { return postings_.size(); }
-
-  /// Number of distinct k-mers present.
-  size_t DistinctKmers() const { return keys_.size(); }
-
  private:
-  KmerIndex() = default;
+  using Partition = std::unordered_map<uint64_t, std::vector<uint64_t>>;
 
-  size_t k_ = 0;
-  std::vector<uint32_t> doc_lengths_;
-  // Flat postings: keys_ holds the distinct packed k-mers in ascending
-  // order; postings_[offsets_[i], offsets_[i+1]) is the run of keys_[i],
-  // ordered by (doc, position).
-  std::vector<uint64_t> keys_;
-  std::vector<uint64_t> offsets_;  // keys_.size() + 1 entries.
-  std::vector<Posting> postings_;
+  explicit KmerIndex(size_t k);
+
+  /// The distinct words of `sequence`'s windows, ascending; the one
+  /// extraction Build, Add and Remove share.
+  std::vector<uint64_t> Words(const seq::NucleotideSequence& sequence) const;
+  size_t PartitionOf(uint64_t word) const;
+
+  size_t k_;
+  std::vector<Partition> partitions_;
 };
 
 /// Packs an unambiguous A/C/G/T window into 2 bits per base. Returns false

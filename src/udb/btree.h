@@ -13,8 +13,8 @@ namespace genalg::udb {
 /// An in-memory B+-tree keyed by order-preserving byte strings
 /// (Datum::OrderKey) with duplicate keys allowed, mapping to RecordIds.
 /// Leaves are linked for range scans. This backs CREATE INDEX ... USING
-/// BTREE; the genomic index structures of Sec. 6.5 (suffix array, k-mer)
-/// live in index/ and are wired in at the table level.
+/// BTREE; USING KMER is the Sec. 6.5 genomic index, index::KmerIndex,
+/// which a table holds beside its B+-trees.
 class BTree {
  public:
   explicit BTree(size_t fanout = 64);

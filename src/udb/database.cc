@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "base/strings.h"
@@ -23,27 +21,23 @@ Result<seq::NucleotideSequence> DatumToSequence(const Adapter& adapter,
   return value.AsNucSeq();
 }
 
-// The k-mer index word for windows holding an ambiguity code. contains()
-// lets a subject N match any pattern base, so a row with such a window
-// is a candidate for every probe. Packed k-mers (k <= 31) use at most 62
-// bits and never collide with it.
-constexpr uint64_t kAmbiguousWindow = ~uint64_t{0};
+// The sequence a k-mer index posts a nucseq cell under. A NULL cell maps
+// to the empty sequence, which posts nothing.
+Result<seq::NucleotideSequence> IndexedSequence(const Adapter& adapter,
+                                                const Datum& cell) {
+  if (cell.is_null()) return seq::NucleotideSequence();
+  return DatumToSequence(adapter, cell);
+}
 
-// The distinct words a k-mer index posts a nucseq cell under; none for
-// NULL.
-Result<std::set<uint64_t>> DistinctKmers(const Adapter& adapter,
-                                         const Datum& cell, size_t k) {
-  std::set<uint64_t> words;
-  if (cell.is_null()) return words;
-  GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
-                          DatumToSequence(adapter, cell));
-  for (size_t pos = 0; pos + k <= sequence.size(); ++pos) {
-    uint64_t packed;
-    words.insert(index::PackKmer(sequence, pos, k, &packed)
-                     ? packed
-                     : kAmbiguousWindow);
-  }
-  return words;
+// A row's k-mer index document: its RecordId packed so that document
+// order is RecordId order.
+uint64_t KmerDoc(RecordId rid) {
+  return uint64_t{rid.page} << 16 | rid.slot;
+}
+
+RecordId KmerDocRow(uint64_t doc) {
+  return RecordId{static_cast<PageId>(doc >> 16),
+                  static_cast<uint16_t>(doc & 0xFFFF)};
 }
 
 bool IsAggregateName(std::string_view name) {
@@ -91,17 +85,6 @@ Status ConformRow(const TableSchema& schema, Row* row) {
                                      " rejects value " + (*row)[i].ToString());
     }
   }
-  return Status::OK();
-}
-
-// Posts `cell` under each of its distinct k-mers: the per-row step of
-// both insert maintenance and the index backfill.
-Status AddKmerPostings(const Adapter& adapter, const Datum& cell, size_t k,
-                       RecordId rid,
-                       std::map<uint64_t, std::vector<RecordId>>* postings) {
-  GENALG_ASSIGN_OR_RETURN(std::set<uint64_t> words,
-                          DistinctKmers(adapter, cell, k));
-  for (uint64_t word : words) (*postings)[word].push_back(rid);
   return Status::OK();
 }
 
@@ -269,9 +252,10 @@ Status Database::StoreRow(TableData* table, const Row& row) {
     btree->tree.Insert(row[btree->column_index].OrderKey(), rid);
   }
   for (auto& kmer : table->kmers) {
-    GENALG_RETURN_IF_ERROR(AddKmerPostings(*adapter_,
-                                           row[kmer->column_index], kmer->k,
-                                           rid, &kmer->postings));
+    GENALG_ASSIGN_OR_RETURN(
+        seq::NucleotideSequence sequence,
+        IndexedSequence(*adapter_, row[kmer->column_index]));
+    kmer->index.Add(KmerDoc(rid), sequence);
   }
   return Status::OK();
 }
@@ -284,15 +268,9 @@ Status Database::EraseRow(TableData* table, const Row& row,
   }
   for (auto& kmer : table->kmers) {
     GENALG_ASSIGN_OR_RETURN(
-        std::set<uint64_t> words,
-        DistinctKmers(*adapter_, row[kmer->column_index], kmer->k));
-    for (uint64_t word : words) {
-      auto it = kmer->postings.find(word);
-      if (it == kmer->postings.end()) continue;
-      auto& list = it->second;
-      list.erase(std::remove(list.begin(), list.end(), rid), list.end());
-      if (list.empty()) kmer->postings.erase(it);
-    }
+        seq::NucleotideSequence sequence,
+        IndexedSequence(*adapter_, row[kmer->column_index]));
+    kmer->index.Remove(KmerDoc(rid), sequence);
   }
   return Status::OK();
 }
@@ -368,9 +346,6 @@ Status Database::CreateKmerIndex(const std::string& table_name,
 
 Status Database::CreateKmerIndexImpl(const std::string& table_name,
                                      const std::string& column, size_t k) {
-  if (k < 4 || k > 31) {
-    return Status::InvalidArgument("k must be in [4, 31]");
-  }
   GENALG_ASSIGN_OR_RETURN(TableData * table, GetTable(table_name));
   for (const auto& existing : table->kmers) {
     if (existing->column == column) {
@@ -386,14 +361,17 @@ Status Database::CreateKmerIndexImpl(const std::string& table_name,
         "kmer indexes require a nucseq column, '" + column + "' is " +
         col.type.ToString());
   }
-  auto idx = std::make_unique<KmerIndexData>();
-  idx->column = column;
-  idx->column_index = col_idx;
-  idx->k = k;
+  GENALG_ASSIGN_OR_RETURN(index::KmerIndex empty,
+                          index::KmerIndex::Build({}, k));
+  auto idx = std::make_unique<KmerIndexData>(
+      KmerIndexData{column, col_idx, std::move(empty)});
+  // Backfill from existing rows.
   GENALG_RETURN_IF_ERROR(ForEachRow(
-      *table->heap, [this, &idx, col_idx, k](RecordId rid, Row row) {
-        return AddKmerPostings(*adapter_, row[col_idx], k, rid,
-                               &idx->postings);
+      *table->heap, [this, &idx, col_idx](RecordId rid, Row row) -> Status {
+        GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
+                                IndexedSequence(*adapter_, row[col_idx]));
+        idx->index.Add(KmerDoc(rid), sequence);
+        return Status::OK();
       }));
   table->kmers.push_back(std::move(idx));
   return Status::OK();
@@ -531,10 +509,13 @@ class Database::Executor {
               "aggregate '" + e.func +
               "' is not allowed in this context");
         }
+        // Algebra operations are strict: a NULL argument yields NULL, so
+        // a scan and an index path (which never posts a NULL cell) agree.
         std::vector<Datum> args;
         args.reserve(e.args.size());
         for (const ExprPtr& arg : e.args) {
           GENALG_ASSIGN_OR_RETURN(Datum d, Eval(*arg, row, env));
+          if (d.is_null()) return Datum::Null();
           args.push_back(std::move(d));
         }
         return db_->adapter_->Invoke(e.func, args);
@@ -981,8 +962,8 @@ class Database::Executor {
         case Kind::kBTreeRange:
           return "btree range scan" + on + btree->column + ")";
         case Kind::kKmerPrefilter:
-          return "kmer prefilter (k=" + std::to_string(kmer->k) + ")" + on +
-                 kmer->column + ") + verification";
+          return "kmer prefilter (k=" + std::to_string(kmer->index.k()) +
+                 ")" + on + kmer->column + ") + verification";
       }
       return "sequential scan of " + table->schema.name;
     }
@@ -1040,7 +1021,8 @@ class Database::Executor {
         auto pattern = DatumToSequence(*db_->adapter_, *pattern_datum);
         if (!pattern.ok() || pattern->CountAmbiguous() > 0) continue;
         for (const auto& kmer : table->kmers) {
-          if (kmer->column_index != *col_idx || pattern->size() < kmer->k) {
+          if (kmer->column_index != *col_idx ||
+              pattern->size() < kmer->index.k()) {
             continue;  // Index unusable; scan instead.
           }
           path.kind = AccessPath::Kind::kKmerPrefilter;
@@ -1094,7 +1076,10 @@ class Database::Executor {
         rids = path.btree->tree.RangeFrom(path.key);
         break;
       case AccessPath::Kind::kKmerPrefilter:
-        rids = KmerCandidates(*path.kmer, path.pattern);
+        for (uint64_t doc :
+             path.kmer->index.ContainsCandidates(path.pattern)) {
+          rids.push_back(KmerDocRow(doc));
+        }
         break;
     }
     for (RecordId rid : rids) {
@@ -1108,42 +1093,6 @@ class Database::Executor {
       GENALG_RETURN_IF_ERROR(counted(rid, std::move(row)));
     }
     return Status::OK();
-  }
-
-  // A row containing the pattern without ambiguity codes contains all of
-  // its k-mers: intersect the posting lists (capped at 16 probes for long
-  // patterns), then add the rows that have ambiguous windows.
-  static std::vector<RecordId> KmerCandidates(
-      const KmerIndexData& kmer, const seq::NucleotideSequence& pattern) {
-    auto posting = [&kmer](uint64_t word) {
-      auto it = kmer.postings.find(word);
-      std::vector<RecordId> rids;
-      if (it != kmer.postings.end()) rids = it->second;
-      std::sort(rids.begin(), rids.end());
-      return rids;
-    };
-    std::vector<RecordId> candidates;
-    for (size_t pos = 0, probes = 0;
-         pos + kmer.k <= pattern.size() && probes < 16;
-         pos += kmer.k, ++probes) {
-      uint64_t packed;
-      if (!index::PackKmer(pattern, pos, kmer.k, &packed)) break;
-      std::vector<RecordId> hits = posting(packed);
-      if (probes > 0) {
-        std::vector<RecordId> both;
-        std::set_intersection(candidates.begin(), candidates.end(),
-                              hits.begin(), hits.end(),
-                              std::back_inserter(both));
-        hits = std::move(both);
-      }
-      candidates = std::move(hits);
-      if (candidates.empty()) break;
-    }
-    std::vector<RecordId> ambiguous = posting(kAmbiguousWindow);
-    std::vector<RecordId> merged;
-    std::set_union(candidates.begin(), candidates.end(), ambiguous.begin(),
-                   ambiguous.end(), std::back_inserter(merged));
-    return merged;
   }
 
   // ------------------------------------------------- Other statements.
@@ -1386,7 +1335,7 @@ std::vector<uint8_t> Database::SerializeCatalog() const {
     w.PutVarint(table->kmers.size());
     for (const auto& kmer : table->kmers) {
       w.PutString(kmer->column);
-      w.PutVarint(kmer->k);
+      w.PutVarint(kmer->index.k());
     }
   }
   return w.Release();
@@ -1448,48 +1397,6 @@ Status Database::LoadCatalogBlob(const std::vector<uint8_t>& blob) {
   }();
   restoring_catalog_ = false;
   return result;
-}
-
-Status Database::SaveCatalog(const std::string& catalog_path) {
-  GENALG_RETURN_IF_ERROR(pool_->FlushAll());
-  std::vector<uint8_t> blob = SerializeCatalog();
-  // Sidecar + rename so a crash mid-save leaves the old catalog intact.
-  std::string sidecar = catalog_path + ".tmp";
-  std::FILE* file = std::fopen(sidecar.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IoError("cannot write catalog '" + catalog_path + "'");
-  }
-  size_t written = std::fwrite(blob.data(), 1, blob.size(), file);
-  std::fclose(file);
-  if (written != blob.size()) {
-    std::remove(sidecar.c_str());
-    return Status::IoError("short catalog write");
-  }
-  if (std::rename(sidecar.c_str(), catalog_path.c_str()) != 0) {
-    return Status::IoError("cannot swap catalog into place");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<Database>> Database::Attach(
-    const Adapter* adapter, std::unique_ptr<DiskManager> disk,
-    const std::string& catalog_path, size_t pool_pages) {
-  std::FILE* file = std::fopen(catalog_path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot read catalog '" + catalog_path + "'");
-  }
-  std::vector<uint8_t> blob;
-  uint8_t chunk[4096];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    blob.insert(blob.end(), chunk, chunk + n);
-  }
-  std::fclose(file);
-
-  auto db = std::make_unique<Database>(adapter, std::move(disk),
-                                       pool_pages);
-  GENALG_RETURN_IF_ERROR(db->LoadCatalogBlob(blob));
-  return db;
 }
 
 // ------------------------------------------------ Transactions & recovery.

@@ -10,6 +10,7 @@
 
 #include "base/result.h"
 #include "base/rw_gate.h"
+#include "index/kmer_index.h"
 #include "udb/adapter.h"
 #include "udb/btree.h"
 #include "udb/datum.h"
@@ -114,19 +115,6 @@ class Database {
 
   const Adapter& adapter() const { return *adapter_; }
 
-  /// Persists the catalog (schemas, spaces, heap-file roots, index
-  /// definitions) to `catalog_path` and flushes every dirty page to the
-  /// disk manager. Together with a FileDiskManager this makes the
-  /// database durable across processes. IoError on write failure.
-  Status SaveCatalog(const std::string& catalog_path);
-
-  /// Re-opens a database persisted by SaveCatalog: reconstructs each
-  /// table over its existing heap pages and rebuilds secondary indexes by
-  /// backfill. The disk manager must contain the matching pages.
-  static Result<std::unique_ptr<Database>> Attach(
-      const Adapter* adapter, std::unique_ptr<DiskManager> disk,
-      const std::string& catalog_path, size_t pool_pages = 512);
-
   // ------------------------------------ Durability (write-ahead logging).
 
   /// Attaches a write-ahead log and writes an initial checkpoint. From
@@ -165,10 +153,9 @@ class Database {
 
   /// Crash-safe open: replays committed transactions from the log onto
   /// the disk (recovery is idempotent), reconstructs the database from
-  /// the latest durable catalog (carried by commit/checkpoint records —
-  /// WAL-mode databases need no separate catalog file), attaches the log,
-  /// and writes a fresh checkpoint. An empty disk + empty log yields an
-  /// empty durable database.
+  /// the latest durable catalog (carried by commit/checkpoint records),
+  /// attaches the log, and writes a fresh checkpoint. An empty disk +
+  /// empty log yields an empty durable database.
   static Result<std::unique_ptr<Database>> Recover(
       const Adapter* adapter, std::unique_ptr<DiskManager> disk,
       std::unique_ptr<WalFile> wal_file, size_t pool_pages = 512);
@@ -207,11 +194,12 @@ class Database {
     size_t column_index;
     BTree tree;
   };
+  /// A row's document in `index` is its RecordId packed as
+  /// page << 16 | slot, which orders documents as RecordIds.
   struct KmerIndexData {
     std::string column;
     size_t column_index;
-    size_t k;
-    std::map<uint64_t, std::vector<RecordId>> postings;
+    index::KmerIndex index;
   };
   struct TableData {
     TableSchema schema;
@@ -245,7 +233,7 @@ class Database {
   Status EraseRow(TableData* table, const Row& row, RecordId rid);
 
   /// The catalog (schemas, spaces, heap roots, index definitions) as the
-  /// blob stored in catalog files, commit records, and Begin snapshots.
+  /// blob stored in checkpoint and commit records and Begin snapshots.
   std::vector<uint8_t> SerializeCatalog() const;
 
   /// Rebuilds tables_ from a catalog blob: re-attaches heaps over their

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +137,18 @@ std::vector<NucleotideSequence> MakeCorpus(Rng* rng, size_t docs,
   return corpus;
 }
 
+uint64_t Word(std::string_view kmer) {
+  uint64_t packed = 0;
+  EXPECT_TRUE(PackKmer(NucleotideSequence::Dna(kmer).value(), 0,
+                       kmer.size(), &packed));
+  return packed;
+}
+
+std::vector<uint64_t> Docs(const KmerIndex& idx, uint64_t word) {
+  std::span<const uint64_t> docs = idx.Postings(word);
+  return std::vector<uint64_t>(docs.begin(), docs.end());
+}
+
 TEST(KmerIndexTest, RejectsBadK) {
   std::vector<NucleotideSequence> corpus;
   EXPECT_TRUE(KmerIndex::Build(corpus, 3).status().IsInvalidArgument());
@@ -143,34 +156,43 @@ TEST(KmerIndexTest, RejectsBadK) {
   EXPECT_TRUE(KmerIndex::Build(corpus, 8).ok());
 }
 
-TEST(KmerIndexTest, LookupFindsAllPositions) {
-  auto a = NucleotideSequence::Dna("ACGTACGTAA").value();
+TEST(KmerIndexTest, PostingsListEachContainingDocumentOnce) {
+  auto a = NucleotideSequence::Dna("ACGTACGTACGT").value();  // Twice.
   auto b = NucleotideSequence::Dna("TTACGTACGT").value();
   auto idx = KmerIndex::Build({a, b}, 8).value();
-  auto hits = idx.Lookup("ACGTACGT").value();
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].doc, 0u);
-  EXPECT_EQ(hits[0].position, 0u);
-  EXPECT_EQ(hits[1].doc, 1u);
-  EXPECT_EQ(hits[1].position, 2u);
-  EXPECT_TRUE(idx.Lookup("AAAAAAAA").value().empty());
+  EXPECT_EQ(Docs(idx, Word("ACGTACGT")), (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(Docs(idx, Word("TTACGTAC")), (std::vector<uint64_t>{1}));
+  EXPECT_TRUE(idx.Postings(Word("AAAAAAAA")).empty());
 }
 
-TEST(KmerIndexTest, LookupValidatesInput) {
-  auto idx = KmerIndex::Build({}, 8).value();
-  EXPECT_TRUE(idx.Lookup("ACGT").status().IsInvalidArgument());
-  EXPECT_TRUE(idx.Lookup("ACGTACGN").status().IsInvalidArgument());
-}
-
-TEST(KmerIndexTest, AmbiguousWindowsSkipped) {
+TEST(KmerIndexTest, AmbiguousWindowsPostedUnderReservedWord) {
   auto s = NucleotideSequence::Dna("ACGTNACGT").value();
-  auto idx = KmerIndex::Build({s}, 4).value();
-  // Windows covering the N (positions 1..4) are absent.
-  EXPECT_EQ(idx.TotalPostings(), 2u);  // "ACGT" at 0 and at 5.
-  auto hits = idx.Lookup("ACGT").value();
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].position, 0u);
-  EXPECT_EQ(hits[1].position, 5u);
+  auto clean = NucleotideSequence::Dna("ACGTACGT").value();
+  auto idx = KmerIndex::Build({s, clean}, 4).value();
+  // Windows 1..4 cover the N: they post document 0 under the reserved
+  // word, and "ACGT" (at 0 and 5) lists it once.
+  EXPECT_EQ(Docs(idx, Word("ACGT")), (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(Docs(idx, KmerIndex::kAmbiguousWord),
+            (std::vector<uint64_t>{0}));
+  // Seeding never counts the ambiguous windows of a query.
+  auto candidates = idx.FindCandidates(s, 1);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].shared_kmers, 2u);
+  EXPECT_EQ(candidates[1].shared_kmers, 2u);
+}
+
+TEST(KmerIndexTest, SharedKmersCountQueryWindows) {
+  auto query = NucleotideSequence::Dna("ACGTACGTAA").value();
+  auto one_word = NucleotideSequence::Dna("GGACGTGG").value();
+  auto idx = KmerIndex::Build({one_word, query}, 4).value();
+  // Windows: ACGT CGTA GTAC TACG ACGT CGTA GTAA. Document 1 contains
+  // every one; document 0 only ACGT, which two windows hold.
+  auto candidates = idx.FindCandidates(query, 1);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].doc, 1u);
+  EXPECT_EQ(candidates[0].shared_kmers, 7u);
+  EXPECT_EQ(candidates[1].doc, 0u);
+  EXPECT_EQ(candidates[1].shared_kmers, 2u);
 }
 
 TEST(KmerIndexTest, FindCandidatesRanksTrueSourceFirst) {
@@ -186,20 +208,21 @@ TEST(KmerIndexTest, FindCandidatesRanksTrueSourceFirst) {
   auto candidates = idx.FindCandidates(query, 2);
   ASSERT_FALSE(candidates.empty());
   EXPECT_EQ(candidates[0].doc, 7u);
-  // The dominant diagonal points at the fragment origin.
-  EXPECT_EQ(candidates[0].best_diagonal, 120);
 }
 
-TEST(KmerIndexTest, CandidatesSortedBysharedKmers) {
+TEST(KmerIndexTest, CandidatesSortedBySharedKmersThenDoc) {
   Rng rng(53);
   auto corpus = MakeCorpus(&rng, 10, 300);
-  auto idx = KmerIndex::Build(corpus, 9).value();
+  auto idx = KmerIndex::Build(corpus, 5).value();
   auto query = corpus[3];
   auto candidates = idx.FindCandidates(query, 1);
-  ASSERT_FALSE(candidates.empty());
+  ASSERT_GT(candidates.size(), 2u);
   EXPECT_EQ(candidates[0].doc, 3u);
   for (size_t i = 1; i < candidates.size(); ++i) {
-    EXPECT_GE(candidates[i - 1].shared_kmers, candidates[i].shared_kmers);
+    const auto& prev = candidates[i - 1];
+    const auto& cur = candidates[i];
+    EXPECT_TRUE(prev.shared_kmers > cur.shared_kmers ||
+                (prev.shared_kmers == cur.shared_kmers && prev.doc < cur.doc));
   }
 }
 
@@ -214,95 +237,121 @@ TEST(KmerIndexTest, MinSharedFilters) {
   EXPECT_GE(strict, 1u);  // The identical document always qualifies.
 }
 
-TEST(KmerIndexTest, SelectivityEstimateBehaviour) {
-  Rng rng(61);
-  auto corpus = MakeCorpus(&rng, 10, 1000);
+TEST(KmerIndexTest, ContainsCandidatesIntersectProbesAndAddAmbiguousDocs) {
+  auto needle = NucleotideSequence::Dna("ACGTTGCAGGCCTTAA").value();
+  std::vector<NucleotideSequence> corpus = {
+      NucleotideSequence::Dna("CCACGTTGCAGGCCTTAACC").value(),  // Holds it.
+      NucleotideSequence::Dna("ACGTTGCATTTTTTTT").value(),      // 1st half.
+      NucleotideSequence::Dna("TTTTTTTTGGCCTTAA").value(),      // 2nd half.
+      NucleotideSequence::Dna("ACGTNGCAGGCCTTAA").value(),      // An N.
+      NucleotideSequence::Dna("GGGGGGGGGGGGGGGG").value(),
+  };
   auto idx = KmerIndex::Build(corpus, 8).value();
-  // Short patterns are near-certain, long patterns near-impossible.
-  EXPECT_GT(idx.EstimateContainsSelectivity(2), 0.95);
-  EXPECT_LT(idx.EstimateContainsSelectivity(30), 1e-6);
-  // Monotone non-increasing in pattern length.
-  double prev = 1.1;
-  for (size_t len = 1; len <= 20; ++len) {
-    double s = idx.EstimateContainsSelectivity(len);
-    EXPECT_LE(s, prev + 1e-12);
-    prev = s;
-  }
+  EXPECT_EQ(idx.ContainsCandidates(needle), (std::vector<uint64_t>{0, 3}));
+  // An absent first probe leaves only the ambiguous documents.
+  EXPECT_EQ(idx.ContainsCandidates(
+                NucleotideSequence::Dna("CATCATCATCAT").value()),
+            (std::vector<uint64_t>{3}));
 }
 
-TEST(KmerIndexTest, DistinctKmersCountsKeys) {
-  auto s = NucleotideSequence::Dna("ACGTACGTAA").value();
-  auto idx = KmerIndex::Build({s}, 4).value();
-  // Windows: ACGT CGTA GTAC TACG ACGT CGTA GTAA -> 5 distinct.
-  EXPECT_EQ(idx.DistinctKmers(), 5u);
-  EXPECT_EQ(idx.TotalPostings(), 7u);
-}
+// Reference postings at document level: for every word, the ascending
+// documents with a window of that word (ambiguous windows under
+// kAmbiguousWord).
+using NaiveIndex = std::map<uint64_t, std::vector<uint64_t>>;
 
-TEST(KmerIndexTest, PostingsViewMatchesLookup) {
-  Rng rng(67);
-  auto corpus = MakeCorpus(&rng, 8, 300);
-  auto idx = KmerIndex::Build(corpus, 9).value();
-  for (size_t doc = 0; doc < corpus.size(); ++doc) {
-    for (size_t pos = 0; pos + 9 <= corpus[doc].size(); pos += 13) {
-      uint64_t packed;
-      ASSERT_TRUE(PackKmer(corpus[doc], pos, 9, &packed));
-      auto [begin, end] = idx.Postings(packed);
-      auto via_lookup =
-          idx.Lookup(corpus[doc].Subsequence(pos, 9).value().ToString())
-              .value();
-      ASSERT_EQ(static_cast<size_t>(end - begin), via_lookup.size());
-      bool found_self = false;
-      for (const KmerIndex::Posting* p = begin; p != end; ++p) {
-        if (p->doc == doc && p->position == pos) found_self = true;
-      }
-      EXPECT_TRUE(found_self);
-    }
-  }
-  EXPECT_EQ(idx.Postings(0xFFFFFFFFu).first, idx.Postings(0xFFFFFFFFu).second);
-}
-
-// Reference build: the pre-flat-layout serial algorithm, kept here as the
-// oracle the production build (serial or parallel) must reproduce.
-std::map<uint64_t, std::vector<std::pair<uint32_t, uint32_t>>>
-NaivePostings(const std::vector<NucleotideSequence>& corpus, size_t k) {
-  std::map<uint64_t, std::vector<std::pair<uint32_t, uint32_t>>> naive;
-  for (uint32_t doc = 0; doc < corpus.size(); ++doc) {
+NaiveIndex NaivePostings(const std::vector<NucleotideSequence>& corpus,
+                         size_t k) {
+  NaiveIndex naive;
+  for (uint64_t doc = 0; doc < corpus.size(); ++doc) {
     for (size_t pos = 0; pos + k <= corpus[doc].size(); ++pos) {
       uint64_t packed;
-      if (!PackKmer(corpus[doc], pos, k, &packed)) continue;
-      naive[packed].emplace_back(doc, static_cast<uint32_t>(pos));
+      if (!PackKmer(corpus[doc], pos, k, &packed)) {
+        packed = KmerIndex::kAmbiguousWord;
+      }
+      std::vector<uint64_t>& docs = naive[packed];
+      if (docs.empty() || docs.back() != doc) docs.push_back(doc);
     }
   }
   return naive;
 }
 
+// Every word of the 4^k space, and the reserved one, has the expected
+// postings.
+void ExpectPostings(const KmerIndex& idx, const NaiveIndex& expected,
+                    const std::string& context) {
+  std::vector<uint64_t> words(size_t{1} << (2 * idx.k()));
+  std::iota(words.begin(), words.end(), uint64_t{0});
+  words.push_back(KmerIndex::kAmbiguousWord);
+  for (uint64_t word : words) {
+    auto it = expected.find(word);
+    std::vector<uint64_t> want =
+        it == expected.end() ? std::vector<uint64_t>{} : it->second;
+    ASSERT_EQ(Docs(idx, word), want) << context << " word=" << word;
+  }
+}
+
+// A random DNA string of `len` bases, with a run of Ns one time in four.
+std::string ChurnSequence(Rng* rng, size_t len) {
+  std::string dna = rng->RandomDna(len);
+  if (len > 4 && rng->Uniform(4) == 0) {
+    size_t at = rng->Uniform(len - 2);
+    dna.replace(at, 2, "NN");
+  }
+  return dna;
+}
+
+// Maintenance oracle: after random Add/Remove churn, the index equals a
+// bulk Build over the surviving documents.
+TEST(KmerIndexTest, IncrementalMaintenanceEqualsBulkBuild) {
+  Rng rng(73);
+  const size_t k = 6;
+  const size_t docs = 24;
+  KmerIndex idx = KmerIndex::Build({}, k).value();
+  // Removed and never-added documents hold the empty sequence, which a
+  // Build posts nowhere.
+  std::vector<NucleotideSequence> live(docs);
+  std::vector<bool> present(docs, false);
+  for (int step = 0; step < 400; ++step) {
+    size_t doc = rng.Uniform(docs);
+    if (present[doc]) {
+      idx.Remove(doc, live[doc]);
+      // Removing again, or a document never added, changes nothing.
+      if (rng.Uniform(8) == 0) idx.Remove(doc, live[doc]);
+      live[doc] = NucleotideSequence();
+      present[doc] = false;
+    } else {
+      // Lengths 0..49 include sequences shorter than k.
+      live[doc] =
+          NucleotideSequence::Dna(ChurnSequence(&rng, rng.Uniform(50)))
+              .value();
+      idx.Add(doc, live[doc]);
+      present[doc] = true;
+    }
+    if (step % 50 == 49) {
+      ThreadPool pool(2);
+      auto bulk = KmerIndex::Build(live, k, &pool).value();
+      ExpectPostings(bulk, NaivePostings(live, k), "bulk");
+      ExpectPostings(idx, NaivePostings(live, k),
+                     "step " + std::to_string(step));
+    }
+  }
+}
+
 TEST(KmerIndexTest, ParallelBuildIdenticalToSerialAcrossPoolSizes) {
   Rng rng(71);
   auto corpus = MakeCorpus(&rng, 37, 400);
-  // A couple of ambiguous runs so skipped windows are exercised too.
+  // A couple of ambiguous runs so the reserved word is exercised too.
   corpus.push_back(NucleotideSequence::Dna("ACGTNNNNACGTACGTNACGT").value());
-  const size_t k = 9;
-  auto naive = NaivePostings(corpus, k);
-  size_t naive_total = 0;
-  for (const auto& [kmer, list] : naive) naive_total += list.size();
+  corpus.push_back(NucleotideSequence::Dna("ACG").value());  // Below k.
+  const size_t k = 8;
+  const NaiveIndex naive = NaivePostings(corpus, k);
 
   ThreadPool serial(1);
   auto reference = KmerIndex::Build(corpus, k, &serial).value();
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     auto idx = KmerIndex::Build(corpus, k, &pool).value();
-    EXPECT_EQ(idx.TotalPostings(), naive_total) << "threads=" << threads;
-    EXPECT_EQ(idx.DistinctKmers(), naive.size()) << "threads=" << threads;
-    // Every posting run must equal the oracle's, in (doc, pos) order.
-    for (const auto& [kmer, list] : naive) {
-      auto [begin, end] = idx.Postings(kmer);
-      ASSERT_EQ(static_cast<size_t>(end - begin), list.size())
-          << "threads=" << threads;
-      for (size_t i = 0; i < list.size(); ++i) {
-        EXPECT_EQ(begin[i].doc, list[i].first);
-        EXPECT_EQ(begin[i].position, list[i].second);
-      }
-    }
+    ExpectPostings(idx, naive, "threads=" + std::to_string(threads));
     // And candidate ranking (the consumer-visible surface) must agree
     // with the serial pool's.
     auto query = corpus[5];
@@ -312,7 +361,6 @@ TEST(KmerIndexTest, ParallelBuildIdenticalToSerialAcrossPoolSizes) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].doc, b[i].doc);
       EXPECT_EQ(a[i].shared_kmers, b[i].shared_kmers);
-      EXPECT_EQ(a[i].best_diagonal, b[i].best_diagonal);
     }
   }
 }
@@ -321,9 +369,11 @@ TEST(KmerIndexTest, EmptyCorpusBuildsEmptyIndex) {
   for (size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
     auto idx = KmerIndex::Build({}, 8, &pool).value();
-    EXPECT_EQ(idx.TotalPostings(), 0u);
-    EXPECT_EQ(idx.DistinctKmers(), 0u);
-    EXPECT_TRUE(idx.Lookup("ACGTACGT").value().empty());
+    EXPECT_TRUE(idx.Postings(Word("ACGTACGT")).empty());
+    EXPECT_TRUE(idx.Postings(KmerIndex::kAmbiguousWord).empty());
+    EXPECT_TRUE(
+        idx.FindCandidates(NucleotideSequence::Dna("ACGTACGT").value())
+            .empty());
   }
 }
 

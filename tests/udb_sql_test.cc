@@ -3,14 +3,17 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "algebra/signature.h"
 #include "base/rng.h"
+#include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
 #include "udb/adapter.h"
 #include "udb/database.h"
 #include "udb/storage.h"
 #include "udb/sql_parser.h"
+#include "udb/wal.h"
 
 namespace genalg::udb {
 namespace {
@@ -419,6 +422,51 @@ TEST_F(SqlTest, KmerIndexRequiresNucseqColumn) {
                   .IsInvalidArgument());
 }
 
+// A contains() probe goes through index::KmerIndex::Postings: one lookup
+// per 8-mer probe plus one for the ambiguous rows, each scanning the
+// rows posted under its word.
+TEST_F(SqlTest, KmerPrefilterFeedsIndexCounters) {
+  MustExecute("CREATE TABLE frags (id INT, s NUCSEQ)");
+  const std::string needle = "ATTGCCATAATTGCCG";  // Probes at 0 and 8.
+  Rng rng(131);
+  std::vector<std::string> rows;
+  for (int i = 0; i < 40; ++i) {
+    std::string dna = rng.RandomDna(120);
+    if (i % 10 == 4) dna.replace(50, needle.size(), needle);
+    if (i % 10 == 7) dna.replace(20, 8, needle.substr(0, 8));
+    if (i % 13 == 5) dna[90] = 'N';
+    rows.push_back(dna);
+    MustExecute("INSERT INTO frags VALUES (" + std::to_string(i) +
+                ", parse_dna('" + dna + "'))");
+  }
+  MustExecute("INSERT INTO frags VALUES (40, NULL)");
+  MustExecute("CREATE INDEX idx_s ON frags(s) USING KMER");
+  auto rows_with = [&rows](const std::string& part) {
+    uint64_t n = 0;
+    for (const std::string& dna : rows) {
+      n += dna.find(part) != std::string::npos;
+    }
+    return n;
+  };
+  const uint64_t ambiguous = rows_with("N");
+  const uint64_t expected_scanned = rows_with(needle.substr(0, 8)) +
+                                    rows_with(needle.substr(8, 8)) +
+                                    ambiguous;
+  ASSERT_GT(ambiguous, 0u);
+
+  obs::Counter* lookups =
+      obs::Registry::Global().GetCounter("index.kmer.lookups");
+  obs::Counter* scanned =
+      obs::Registry::Global().GetCounter("index.kmer.postings_scanned");
+  const uint64_t lookups_before = lookups->value();
+  const uint64_t scanned_before = scanned->value();
+  auto r = MustExecute("SELECT count(*) FROM frags WHERE contains(s, "
+                       "parse_dna('" + needle + "'))");
+  EXPECT_EQ(r.rows[0][0].AsInt().value(), rows_with(needle));
+  EXPECT_EQ(lookups->value() - lookups_before, 3u);
+  EXPECT_EQ(scanned->value() - scanned_before, expected_scanned);
+}
+
 constexpr char kNeedle[] = "ATTGCCATAATTGCCATAAT";
 
 // Loads the same rows into `db`; with `indexed`, also B+-trees on the INT
@@ -775,11 +823,11 @@ TEST_F(SqlTest, LikePatternMatching) {
 }
 
 
-TEST_F(SqlTest, SaveCatalogAndAttachSurvivesProcessBoundary) {
+TEST_F(SqlTest, WalCheckpointAndRecoverSurvivesProcessBoundary) {
   std::string db_path = ::testing::TempDir() + "/genalg_persist.db";
-  std::string catalog_path = db_path + ".catalog";
+  std::string wal_path = db_path + ".wal";
   std::remove(db_path.c_str());
-  std::remove(catalog_path.c_str());
+  std::remove(wal_path.c_str());
   Rng rng(317);
   std::string planted = rng.RandomDna(80);
   {
@@ -806,13 +854,19 @@ TEST_F(SqlTest, SaveCatalogAndAttachSurvivesProcessBoundary) {
     ASSERT_TRUE(original.Execute("DELETE FROM frags WHERE id = 3").ok());
     ASSERT_TRUE(original.CreateBTreeIndex("frags", "id").ok());
     ASSERT_TRUE(original.CreateKmerIndex("frags", "s").ok());
-    ASSERT_TRUE(original.SaveCatalog(catalog_path).ok());
+    // The initial checkpoint flushes and fsyncs every page and logs the
+    // catalog.
+    auto wal = FileWalFile::Open(wal_path);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(original.EnableWal(std::move(*wal)).ok());
   }  // Everything about the original database dies here.
   {
     auto disk = FileDiskManager::Open(db_path);
     ASSERT_TRUE(disk.ok());
-    auto reopened =
-        Database::Attach(adapter_.get(), std::move(*disk), catalog_path, 16);
+    auto wal = FileWalFile::Open(wal_path);
+    ASSERT_TRUE(wal.ok());
+    auto reopened = Database::Recover(adapter_.get(), std::move(*disk),
+                                      std::move(*wal), 16);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     Database& db = **reopened;
     // Schemas, spaces, rows, tombstones all survived.
@@ -837,20 +891,9 @@ TEST_F(SqlTest, SaveCatalogAndAttachSurvivesProcessBoundary) {
                            "parse_dna('ACGT'))")
                     .ok());
   }
-  // A bogus catalog is rejected, not misinterpreted.
-  {
-    std::FILE* f = std::fopen(catalog_path.c_str(), "wb");
-    std::fputs("garbage", f);
-    std::fclose(f);
-    auto disk = FileDiskManager::Open(db_path);
-    auto bad =
-        Database::Attach(adapter_.get(), std::move(*disk), catalog_path, 16);
-    EXPECT_TRUE(bad.status().IsCorruption());
-  }
   std::remove(db_path.c_str());
-  std::remove(catalog_path.c_str());
+  std::remove(wal_path.c_str());
 }
-
 
 TEST_F(SqlTest, EdgeCasesAcrossTheDialect) {
   MustExecute("CREATE TABLE t (a INT, b REAL)");
