@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -33,6 +34,10 @@ const StorageMetrics& Metrics() {
   return m;
 }
 
+Status NoSuchPage(PageId id) {
+  return Status::OutOfRange("page " + std::to_string(id) + " does not exist");
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- DiskManager.
@@ -47,17 +52,12 @@ Status DiskManager::EnsureCapacity(size_t page_count) {
 // --------------------------------------------------- MemoryDiskManager.
 
 Result<PageId> MemoryDiskManager::AllocatePage() {
-  auto page = std::make_unique<uint8_t[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
-  pages_.push_back(std::move(page));
+  pages_.push_back(std::make_unique<uint8_t[]>(kPageSize));  // Zeroed.
   return static_cast<PageId>(pages_.size() - 1);
 }
 
 Status MemoryDiskManager::ReadPage(PageId id, uint8_t* out) {
-  if (id >= pages_.size()) {
-    return Status::OutOfRange("page " + std::to_string(id) +
-                              " does not exist");
-  }
+  if (id >= pages_.size()) return NoSuchPage(id);
   ++reads_;
   Metrics().page_reads->Increment();
   std::memcpy(out, pages_[id].get(), kPageSize);
@@ -65,10 +65,7 @@ Status MemoryDiskManager::ReadPage(PageId id, uint8_t* out) {
 }
 
 Status MemoryDiskManager::WritePage(PageId id, const uint8_t* data) {
-  if (id >= pages_.size()) {
-    return Status::OutOfRange("page " + std::to_string(id) +
-                              " does not exist");
-  }
+  if (id >= pages_.size()) return NoSuchPage(id);
   ++writes_;
   Metrics().page_writes->Increment();
   std::memcpy(pages_[id].get(), data, kPageSize);
@@ -111,10 +108,7 @@ Result<PageId> FileDiskManager::AllocatePage() {
 }
 
 Status FileDiskManager::ReadPage(PageId id, uint8_t* out) {
-  if (id >= page_count_) {
-    return Status::OutOfRange("page " + std::to_string(id) +
-                              " does not exist");
-  }
+  if (id >= page_count_) return NoSuchPage(id);
   ++reads_;
   Metrics().page_reads->Increment();
   if (std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET) != 0 ||
@@ -125,10 +119,7 @@ Status FileDiskManager::ReadPage(PageId id, uint8_t* out) {
 }
 
 Status FileDiskManager::WritePage(PageId id, const uint8_t* data) {
-  if (id >= page_count_) {
-    return Status::OutOfRange("page " + std::to_string(id) +
-                              " does not exist");
-  }
+  if (id >= page_count_) return NoSuchPage(id);
   ++writes_;
   Metrics().page_writes->Increment();
   if (std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET) != 0 ||
@@ -148,39 +139,38 @@ Status FileDiskManager::Sync() {
 // ------------------------------------------------------------ BufferPool.
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity)
-    : disk_(disk), capacity_(std::max<size_t>(capacity, 2)) {
-  frames_.resize(capacity_);
-  for (Frame& frame : frames_) {
-    frame.data = std::make_unique<uint8_t[]>(kPageSize);
-  }
+    : disk_(disk), frames_(std::max<size_t>(capacity, 2)) {
+  for (size_t i = 0; i < frames_.size(); ++i) free_.push(i);
 }
 
-void BufferPool::TouchLru(size_t frame_index) {
-  lru_.remove(frame_index);
-  lru_.push_front(frame_index);
-}
-
-Result<size_t> BufferPool::FindVictim() {
-  // First use a never-used frame.
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (frames_[i].id == kInvalidPageId) return i;
-  }
-  // Otherwise the least recently used unpinned frame.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    Frame& frame = frames_[*it];
+Result<size_t> BufferPool::FreeFrame() {
+  // CLOCK, when no frame is free. The first turn clears every reference bit
+  // it passes, so two turns find a victim unless none is evictable.
+  for (size_t step = 0; free_.empty(); ++step) {
+    if (step == 2 * frames_.size()) {
+      return Status::ResourceExhausted("all buffer frames are pinned");
+    }
+    size_t index = hand_;
+    hand_ = (hand_ + 1) % frames_.size();
+    Frame& frame = frames_[index];
     if (frame.pin_count > 0) continue;
     // No-steal: a page dirtied by the open transaction must not reach the
     // database file before its log records are durable.
     if (tracking_ && frame.dirty && tracked_.count(frame.id) != 0) continue;
+    if (std::exchange(frame.referenced, false)) continue;
     if (frame.dirty) {
       GENALG_RETURN_IF_ERROR(disk_->WritePage(frame.id, frame.data.get()));
       frame.dirty = false;
     }
     Metrics().pool_evictions->Increment();
     page_table_.erase(frame.id);
-    return *it;
+    frame.id = kInvalidPageId;
+    free_.push(index);
   }
-  return Status::ResourceExhausted("all buffer frames are pinned");
+  // Left unzeroed: the caller overwrites it (ReadPage or memset).
+  std::unique_ptr<uint8_t[]>& data = frames_[free_.top()].data;
+  if (!data) data = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+  return free_.top();
 }
 
 Result<uint8_t*> BufferPool::FetchPage(PageId id) {
@@ -191,34 +181,36 @@ Result<uint8_t*> BufferPool::FetchPage(PageId id) {
     Metrics().pool_hits->Increment();
     Frame& frame = frames_[it->second];
     ++frame.pin_count;
-    TouchLru(it->second);
+    frame.referenced = true;
     return frame.data.get();
   }
   ++misses_;
   Metrics().pool_misses->Increment();
-  GENALG_ASSIGN_OR_RETURN(size_t victim, FindVictim());
-  Frame& frame = frames_[victim];
+  GENALG_ASSIGN_OR_RETURN(size_t index, FreeFrame());
+  Frame& frame = frames_[index];
   GENALG_RETURN_IF_ERROR(disk_->ReadPage(id, frame.data.get()));
+  free_.pop();
   frame.id = id;
   frame.pin_count = 1;
-  frame.dirty = false;
-  page_table_[id] = victim;
-  TouchLru(victim);
+  frame.referenced = true;
+  page_table_[id] = index;
   return frame.data.get();
 }
 
 Result<std::pair<PageId, uint8_t*>> BufferPool::NewPage() {
   std::lock_guard<std::mutex> guard(mutex_);
+  // The frame first: a full pool must not grow the store by an orphan page.
+  GENALG_ASSIGN_OR_RETURN(size_t index, FreeFrame());
   GENALG_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
-  GENALG_ASSIGN_OR_RETURN(size_t victim, FindVictim());
-  Frame& frame = frames_[victim];
+  free_.pop();
+  Frame& frame = frames_[index];
   std::memset(frame.data.get(), 0, kPageSize);
   frame.id = id;
   frame.pin_count = 1;
   frame.dirty = true;
+  frame.referenced = true;
   if (tracking_) tracked_.insert(id);
-  page_table_[id] = victim;
-  TouchLru(victim);
+  page_table_[id] = index;
   return std::make_pair(id, frame.data.get());
 }
 
@@ -281,9 +273,9 @@ Status BufferPool::DiscardTracked() {
       return Status::FailedPrecondition(
           "cannot discard pinned page " + std::to_string(id));
     }
-    lru_.remove(it->second);
     frame.id = kInvalidPageId;
     frame.dirty = false;
+    free_.push(it->second);
     page_table_.erase(it);
   }
   tracked_.clear();

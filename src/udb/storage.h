@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -96,9 +96,13 @@ class FileDiskManager : public DiskManager {
   uint64_t writes_ = 0;
 };
 
-/// A fixed-capacity LRU buffer pool. Callers fetch (pin) pages, mutate
-/// them in place, and unpin with a dirty flag; clean unpinned frames are
-/// evicted silently, dirty ones written back first.
+/// A buffer pool of `capacity` frames. Callers fetch (pin) pages, mutate
+/// them in place, and unpin with a dirty flag. A frame's bytes are
+/// allocated when the free list (unused frames, lowest index first) first
+/// hands it out, so memory follows the pages held. With no free frame, a
+/// CLOCK sweep evicts an unpinned frame whose reference bit (set by each
+/// pin) is clear, writing it back if dirty. No-steal: a frame the open
+/// transaction dirtied is never evicted.
 ///
 /// Thread safety: every operation (and through it, all DiskManager
 /// traffic) is serialized on one internal mutex, so concurrent read
@@ -157,7 +161,7 @@ class BufferPool {
     return tracking_;
   }
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return frames_.size(); }
   uint64_t hit_count() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return hits_;
@@ -172,19 +176,20 @@ class BufferPool {
     PageId id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
-    std::unique_ptr<uint8_t[]> data;
+    bool referenced = false;          // CLOCK's second-chance bit.
+    std::unique_ptr<uint8_t[]> data;  // Allocated on first use.
   };
 
-  // Evicts one unpinned frame; ResourceExhausted if none.
-  Result<size_t> FindVictim();
-  void TouchLru(size_t frame_index);
+  // The free list's first frame, evicting a CLOCK victim into the list if
+  // it is empty; the caller pops the frame once it holds a page.
+  Result<size_t> FreeFrame();
 
   DiskManager* disk_;
-  size_t capacity_;
   mutable std::mutex mutex_;  // Guards everything below + disk_ calls.
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> page_table_;
-  std::list<size_t> lru_;  // Front = most recently used.
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<>> free_;
+  size_t hand_ = 0;  // The next frame the CLOCK sweep inspects.
   bool tracking_ = false;
   std::set<PageId> tracked_;  // Dirtied since BeginTracking.
   uint64_t hits_ = 0;

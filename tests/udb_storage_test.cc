@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "udb/btree.h"
@@ -138,7 +141,7 @@ TEST(BufferPoolTest, FetchCachesAndCountsHits) {
   EXPECT_GE(pool.hit_count(), 2u);
 }
 
-TEST(BufferPoolTest, EvictsLruAndWritesBackDirty) {
+TEST(BufferPoolTest, EvictsAndWritesBackDirty) {
   MemoryDiskManager disk;
   BufferPool pool(&disk, 2);
   // Create three pages through a 2-frame pool.
@@ -165,9 +168,12 @@ TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   auto p1 = pool.NewPage();
   auto p2 = pool.NewPage();
   ASSERT_TRUE(p1.ok() && p2.ok());
-  // Both frames pinned; a third page cannot be materialized.
+  // Both frames pinned; a third page cannot be materialized, and the
+  // attempt must not leave an orphan page in the store.
+  const size_t pages = disk.PageCount();
   auto p3 = pool.NewPage();
   EXPECT_TRUE(p3.status().IsResourceExhausted());
+  EXPECT_EQ(disk.PageCount(), pages);
   ASSERT_TRUE(pool.UnpinPage(p1->first, false).ok());
   EXPECT_TRUE(pool.NewPage().ok());
 }
@@ -179,6 +185,187 @@ TEST(BufferPoolTest, UnpinValidation) {
   auto page = pool.NewPage();
   ASSERT_TRUE(pool.UnpinPage(page->first, false).ok());
   EXPECT_TRUE(pool.UnpinPage(page->first, false).IsFailedPrecondition());
+}
+
+// A fetch whose read fails must not leave its victim frame behind under the
+// old page id: evicting that stale frame later would unmap the live copy of
+// the page, and the next fetch would return the disk image instead.
+TEST(BufferPoolTest, FailedReadLeavesNoStaleFrame) {
+  MemoryDiskManager disk;
+  BufferPool pool(&disk, 3);
+  for (int i = 0; i < 4; ++i) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    page->second[0] = static_cast<uint8_t>(10 + i);
+    ASSERT_TRUE(pool.UnpinPage(page->first, true).ok());
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.BeginTracking().ok());
+  auto page3 = pool.FetchPage(3);
+  ASSERT_TRUE(page3.ok());
+  (*page3)[0] = 99;
+  ASSERT_TRUE(pool.UnpinPage(3, true).ok());
+  EXPECT_TRUE(pool.FetchPage(1000).status().IsOutOfRange());
+  ASSERT_TRUE(pool.DiscardTracked().ok());
+
+  auto page1 = pool.FetchPage(1);
+  ASSERT_TRUE(page1.ok());
+  (*page1)[0] = 77;
+  ASSERT_TRUE(pool.UnpinPage(1, true).ok());
+  auto page0 = pool.FetchPage(0);
+  ASSERT_TRUE(page0.ok());
+  EXPECT_EQ((*page0)[0], 10);
+  ASSERT_TRUE(pool.UnpinPage(0, false).ok());
+  auto again = pool.FetchPage(1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)[0], 77);
+  ASSERT_TRUE(pool.UnpinPage(1, false).ok());
+}
+
+// This process's resident set in KiB, or -1 without /proc.
+long ResidentKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(BufferPoolTest, UntouchedFramesCostNoMemory) {
+  MemoryDiskManager disk;
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(disk.AllocatePage().ok());
+  const long before = ResidentKib();
+  if (before < 0) GTEST_SKIP() << "VmRSS is not readable here";
+  // 4096 frames would be 32 MiB if every frame owned its bytes up front.
+  BufferPool pool(&disk, 4096);
+  for (PageId id = 0; id < 8; ++id) {
+    ASSERT_TRUE(pool.FetchPage(id).ok());
+    ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  }
+  EXPECT_LT(ResidentKib() - before, 8 * 1024);
+}
+
+// Seeded random operation sequences checked against a map model of page
+// images. Every fetched byte matches the model; an abort restores the
+// pre-transaction images; ResourceExhausted comes only when every frame is
+// pinned or holds a page the open transaction dirtied. As in Database,
+// transaction boundaries come with no page pinned, BeginTracking follows a
+// FlushAll, and FlushAll never runs inside a transaction.
+TEST(BufferPoolTest, MatchesPageImageModel) {
+  using Image = std::vector<uint8_t>;
+  struct Pin {
+    PageId id;
+    uint8_t* frame;
+    bool wrote;
+  };
+  const Image zeros(kPageSize, 0);
+  for (size_t capacity = 2; capacity <= 5; ++capacity) {
+    for (uint64_t seed = 1; seed <= 25; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + ", seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 10 + capacity);
+      MemoryDiskManager disk;
+      BufferPool pool(&disk, capacity);
+      std::map<PageId, Image> model;   // What a fetch must return.
+      std::map<PageId, Image> before;  // The images at BeginTracking.
+      std::set<PageId> tracked;        // Dirtied by the open transaction.
+      std::vector<Pin> pins;
+      auto exhausted_allowed = [&] {
+        std::set<PageId> held = tracked;
+        for (const Pin& pin : pins) held.insert(pin.id);
+        return held.size() >= capacity;
+      };
+      auto unpin = [&](size_t i) {
+        const bool dirty = pins[i].wrote || rng.Uniform(4) == 0;
+        EXPECT_TRUE(pool.UnpinPage(pins[i].id, dirty).ok());
+        if (dirty && pool.tracking()) tracked.insert(pins[i].id);
+        pins.erase(pins.begin() + static_cast<long>(i));
+      };
+      auto unpin_all = [&] {
+        while (!pins.empty()) unpin(pins.size() - 1);
+      };
+      auto check_tracked = [&] {
+        std::vector<PageId> expected(tracked.begin(), tracked.end());
+        EXPECT_EQ(pool.TrackedDirtyPages(), expected);
+      };
+      for (int step = 0; step < 300 && !HasFailure(); ++step) {
+        const uint64_t op = rng.Uniform(100);
+        if (op < 12) {
+          if (disk.PageCount() >= 12) continue;
+          const size_t pages = disk.PageCount();
+          auto page = pool.NewPage();
+          if (!page.ok()) {
+            EXPECT_TRUE(page.status().IsResourceExhausted());
+            EXPECT_TRUE(exhausted_allowed());
+            EXPECT_EQ(disk.PageCount(), pages);
+            continue;
+          }
+          EXPECT_EQ(std::memcmp(page->second, zeros.data(), kPageSize), 0);
+          model[page->first] = zeros;
+          if (pool.tracking()) tracked.insert(page->first);
+          pins.push_back({page->first, page->second, false});
+        } else if (op < 45) {
+          // Ids past the store's end do not exist.
+          const PageId id = static_cast<PageId>(
+              rng.Uniform(8) == 0 ? 1000 : rng.Uniform(disk.PageCount() + 2));
+          auto frame = pool.FetchPage(id);
+          if (!frame.ok()) {
+            if (frame.status().IsResourceExhausted()) {
+              EXPECT_TRUE(exhausted_allowed());
+            } else {
+              EXPECT_TRUE(frame.status().IsOutOfRange());
+              EXPECT_EQ(model.count(id), 0u);
+            }
+            continue;
+          }
+          ASSERT_EQ(model.count(id), 1u);
+          EXPECT_EQ(std::memcmp(*frame, model[id].data(), kPageSize), 0);
+          pins.push_back({id, *frame, false});
+        } else if (op < 70) {
+          if (!pins.empty()) unpin(rng.Uniform(pins.size()));
+        } else if (op < 90) {
+          if (pins.empty()) continue;
+          Pin& pin = pins[rng.Uniform(pins.size())];
+          const size_t offset = rng.Uniform(kPageSize);
+          const uint8_t value = static_cast<uint8_t>(rng.Next());
+          pin.frame[offset] = value;
+          model[pin.id][offset] = value;
+          pin.wrote = true;
+        } else if (op < 95) {
+          unpin_all();
+          if (!pool.tracking()) {
+            ASSERT_TRUE(pool.FlushAll().ok());
+            ASSERT_TRUE(pool.BeginTracking().ok());
+            before = model;
+          } else if (rng.Uniform(2) == 0) {
+            check_tracked();
+            pool.EndTracking();
+          } else {
+            check_tracked();
+            ASSERT_TRUE(pool.DiscardTracked().ok());
+            // Pages the transaction allocated stay allocated, zeroed.
+            for (auto& [id, image] : model) {
+              image = before.count(id) != 0 ? before[id] : zeros;
+            }
+          }
+          tracked.clear();
+        } else if (!pool.tracking()) {
+          ASSERT_TRUE(pool.FlushAll().ok());
+        }
+      }
+      // Whatever stays committed reaches the store intact.
+      unpin_all();
+      if (pool.tracking()) pool.EndTracking();
+      ASSERT_TRUE(pool.FlushAll().ok());
+      ASSERT_EQ(disk.PageCount(), model.size());
+      Image stored(kPageSize);
+      for (const auto& [id, image] : model) {
+        ASSERT_TRUE(disk.ReadPage(id, stored.data()).ok());
+        EXPECT_TRUE(stored == image) << "page " << id;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- HeapFile.
