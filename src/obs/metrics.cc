@@ -7,6 +7,27 @@ namespace genalg::obs {
 
 namespace internal {
 std::atomic<bool> g_metrics_enabled{true};
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
 }  // namespace internal
 
 bool MetricsEnabled() {
@@ -84,27 +105,6 @@ const std::vector<uint64_t>& DefaultLatencyBoundsUs() {
 
 namespace {
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendU64(std::string* out, uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu",
@@ -168,7 +168,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(&out, name);
+    internal::AppendJsonString(&out, name);
     out += ": ";
     AppendU64(&out, value);
   }
@@ -178,7 +178,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(&out, name);
+    internal::AppendJsonString(&out, name);
     out += ": ";
     AppendI64(&out, value);
   }
@@ -188,7 +188,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, hist] : histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(&out, name);
+    internal::AppendJsonString(&out, name);
     out += ": {\"count\": ";
     AppendU64(&out, hist.count);
     out += ", \"sum\": ";

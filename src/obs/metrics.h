@@ -38,6 +38,8 @@ void SetMetricsEnabled(bool enabled);
 
 namespace internal {
 extern std::atomic<bool> g_metrics_enabled;
+/// Appends `s` as a quoted, escaped JSON string (metrics and trace export).
+void AppendJsonString(std::string* out, std::string_view s);
 }  // namespace internal
 
 /// A monotonically increasing counter.

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace genalg::obs {
 
 namespace internal {
@@ -25,27 +27,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -89,7 +70,7 @@ std::string SpanNode::ToText(int indent) const {
 
 std::string SpanNode::ToJson() const {
   std::string out = "{\"name\": ";
-  AppendJsonString(&out, name);
+  internal::AppendJsonString(&out, name);
   char buf[64];
   std::snprintf(buf, sizeof(buf), ", \"duration_ns\": %llu",
                 static_cast<unsigned long long>(duration_ns));
@@ -98,9 +79,9 @@ std::string SpanNode::ToJson() const {
     out += ", \"attrs\": {";
     for (size_t i = 0; i < attrs.size(); ++i) {
       if (i > 0) out += ", ";
-      AppendJsonString(&out, attrs[i].first);
+      internal::AppendJsonString(&out, attrs[i].first);
       out += ": ";
-      AppendJsonString(&out, attrs[i].second);
+      internal::AppendJsonString(&out, attrs[i].second);
     }
     out += "}";
   }
@@ -172,6 +153,10 @@ void Span::SetAttr(std::string_view key, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   node_->attrs.emplace_back(std::string(key), buf);
+}
+
+void Span::AddTime(uint64_t ns) {
+  if (node_ != nullptr) node_->start_ns -= ns;
 }
 
 SpanCollector::SpanCollector() {

@@ -69,6 +69,12 @@ class Span {
   void SetAttr(std::string_view key, uint64_t value);
   void SetAttr(std::string_view key, double value);
 
+  /// Adds `ns` to the duration the span reports (its start moves back by
+  /// as much). For a stage that ran interleaved with others before the
+  /// span opened: the caller sums the stage's busy time, then opens the
+  /// span. No-op when the span is disabled.
+  void AddTime(uint64_t ns);
+
   bool enabled() const { return node_ != nullptr; }
 
  private:

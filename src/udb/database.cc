@@ -1,6 +1,7 @@
 #include "udb/database.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
 
@@ -112,6 +113,88 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
   if (text.empty()) return false;
   if (pattern[0] != '_' && pattern[0] != text[0]) return false;
   return LikeMatch(text.substr(1), pattern.substr(1));
+}
+
+// Exact int64 arithmetic for SQL's + - * /: a result outside int64
+// (INT64_MIN / -1 included) is an error, never a wrapped value or a trap.
+Result<Datum> IntArithmetic(const std::string& op, int64_t a, int64_t b) {
+  if (op == "/" && b == 0) return Status::InvalidArgument("division by zero");
+  int64_t v = 0;
+  bool overflow = op == "+"   ? __builtin_add_overflow(a, b, &v)
+                  : op == "-" ? __builtin_sub_overflow(a, b, &v)
+                  : op == "*" ? __builtin_mul_overflow(a, b, &v)
+                              : a == INT64_MIN && b == -1;
+  if (overflow) return Status::InvalidArgument("integer overflow");
+  return Datum::Int(op == "/" ? a / b : v);
+}
+
+// The aggregate calls in `e`, outside any aggregate's argument.
+Status CollectAggregates(const Expr& e, std::vector<const Expr*>* calls) {
+  if (e.kind == Expr::Kind::kCall && IsAggregateName(e.func)) {
+    if (e.args.size() != 1) {
+      return Status::InvalidArgument("aggregate '" + e.func +
+                                     "' takes one argument");
+    }
+    calls->push_back(&e);
+    return Status::OK();
+  }
+  for (const ExprPtr& arg : e.args) {
+    GENALG_RETURN_IF_ERROR(CollectAggregates(*arg, calls));
+  }
+  return Status::OK();
+}
+
+// One aggregate call's running state over a group.
+struct Accumulator {
+  int64_t count = 0;     // Non-NULL values; rows, for count(*).
+  __int128 int_sum = 0;  // Exact; sum's result while every value is INT.
+  double real_sum = 0;
+  bool all_int = true;
+  Datum best;  // min / max; stays NULL for sum and avg.
+
+  Status Add(const std::string& func, Datum d) {
+    if (d.is_null()) return Status::OK();
+    ++count;
+    if (func == "sum" || func == "avg") {
+      GENALG_ASSIGN_OR_RETURN(double v, d.AsNumber());
+      real_sum += v;
+      all_int = all_int && d.kind() == DatumKind::kInt;
+      if (all_int) int_sum += *d.AsInt();
+    } else if (func == "min" || func == "max") {
+      if (best.is_null()) {
+        best = std::move(d);
+        return Status::OK();
+      }
+      GENALG_ASSIGN_OR_RETURN(int c, d.Compare(best));
+      if (func == "min" ? c < 0 : c > 0) best = std::move(d);
+    }
+    return Status::OK();
+  }
+
+  Result<Datum> Finish(const std::string& func) const {
+    if (func == "count") return Datum::Int(count);
+    if ((func != "sum" && func != "avg") || count == 0) return best;
+    if (func == "avg") return Datum::Real(real_sum / count);
+    if (!all_int) return Datum::Real(real_sum);
+    if (int_sum < INT64_MIN || int_sum > INT64_MAX) {
+      return Status::InvalidArgument("integer overflow");
+    }
+    return Datum::Int(static_cast<int64_t>(int_sum));
+  }
+};
+
+// An aggregate query's group: its first row, which non-aggregate
+// expressions read (empty for the global group of an empty input), and
+// one accumulator per aggregate call.
+struct Group {
+  Row first;
+  std::vector<Accumulator> accs;
+};
+
+// Appends a datum to a composite GROUP BY or DISTINCT key.
+void AppendKey(const Datum& d, std::string* key) {
+  *key += d.OrderKey();
+  key->push_back('\x1F');
 }
 
 // Relative evaluation cost of a predicate (Sec. 6.5 cost estimation):
@@ -496,7 +579,7 @@ class Database::Executor {
         }
         GENALG_ASSIGN_OR_RETURN(Datum inner, Eval(*e.args[0], row, env));
         if (inner.kind() == DatumKind::kInt) {
-          return Datum::Int(-*inner.AsInt());
+          return IntArithmetic("-", 0, *inner.AsInt());
         }
         GENALG_ASSIGN_OR_RETURN(double v, inner.AsNumber());
         return Datum::Real(-v);
@@ -568,15 +651,7 @@ class Database::Executor {
       return Datum::String(*left.AsString() + *right.AsString());
     }
     if (left.kind() == DatumKind::kInt && right.kind() == DatumKind::kInt) {
-      int64_t a = *left.AsInt();
-      int64_t b = *right.AsInt();
-      if (op == "+") return Datum::Int(a + b);
-      if (op == "-") return Datum::Int(a - b);
-      if (op == "*") return Datum::Int(a * b);
-      if (op == "/") {
-        if (b == 0) return Status::InvalidArgument("division by zero");
-        return Datum::Int(a / b);
-      }
+      return IntArithmetic(op, *left.AsInt(), *right.AsInt());
     }
     GENALG_ASSIGN_OR_RETURN(double a, left.AsNumber());
     GENALG_ASSIGN_OR_RETURN(double b, right.AsNumber());
@@ -590,88 +665,6 @@ class Database::Executor {
     return Status::InvalidArgument("unknown operator '" + op + "'");
   }
 
-  // Evaluates aggregates over a group; non-aggregate sub-expressions are
-  // evaluated against the group's first row.
-  Result<Datum> EvalAgg(const Expr& e, const std::vector<Row>& group,
-                        const Env& env) {
-    if (e.kind == Expr::Kind::kCall && IsAggregateName(e.func)) {
-      if (e.args.size() != 1) {
-        return Status::InvalidArgument("aggregate '" + e.func +
-                                       "' takes one argument");
-      }
-      const Expr& arg = *e.args[0];
-      if (e.func == "count") {
-        if (arg.kind == Expr::Kind::kStar) {
-          return Datum::Int(static_cast<int64_t>(group.size()));
-        }
-        int64_t n = 0;
-        for (const Row& row : group) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, Eval(arg, row, env));
-          if (!d.is_null()) ++n;
-        }
-        return Datum::Int(n);
-      }
-      if (e.func == "sum" || e.func == "avg") {
-        double total = 0;
-        int64_t n = 0;
-        bool all_int = true;
-        for (const Row& row : group) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, Eval(arg, row, env));
-          if (d.is_null()) continue;
-          if (d.kind() != DatumKind::kInt) all_int = false;
-          GENALG_ASSIGN_OR_RETURN(double v, d.AsNumber());
-          total += v;
-          ++n;
-        }
-        if (e.func == "avg") {
-          if (n == 0) return Datum::Null();
-          return Datum::Real(total / static_cast<double>(n));
-        }
-        if (n == 0) return Datum::Null();
-        return all_int ? Datum::Int(static_cast<int64_t>(total))
-                       : Datum::Real(total);
-      }
-      // min / max.
-      Datum best;
-      for (const Row& row : group) {
-        GENALG_ASSIGN_OR_RETURN(Datum d, Eval(arg, row, env));
-        if (d.is_null()) continue;
-        if (best.is_null()) {
-          best = d;
-          continue;
-        }
-        GENALG_ASSIGN_OR_RETURN(int c, d.Compare(best));
-        if ((e.func == "min" && c < 0) || (e.func == "max" && c > 0)) {
-          best = d;
-        }
-      }
-      return best;
-    }
-    if (!ContainsAggregate(e)) {
-      if (group.empty()) return Datum::Null();
-      return Eval(e, group.front(), env);
-    }
-    // Mixed expression (e.g. count(*) + 1): rebuild by evaluating children.
-    Expr shallow;
-    shallow.kind = e.kind;
-    shallow.op = e.op;
-    shallow.func = e.func;
-    std::vector<Datum> child_values;
-    for (const ExprPtr& arg : e.args) {
-      GENALG_ASSIGN_OR_RETURN(Datum d, EvalAgg(*arg, group, env));
-      child_values.push_back(std::move(d));
-    }
-    for (Datum& d : child_values) {
-      auto lit = std::make_unique<Expr>();
-      lit->kind = Expr::Kind::kLiteral;
-      lit->literal = std::move(d);
-      shallow.args.push_back(std::move(lit));
-    }
-    Env empty_env;
-    Row empty_row;
-    return Eval(shallow, empty_row, empty_env);
-  }
-
   // Constant folding (for INSERT values and index probes).
   Result<Datum> EvalConst(const Expr& e) {
     Env empty_env;
@@ -679,10 +672,46 @@ class Database::Executor {
     return Eval(e, empty_row, empty_env);
   }
 
+  // ------------------------------------------------------- Aggregates.
+
+  // Evaluates an output expression over a group: aggregate calls read
+  // their accumulators, the rest reads the group's first row.
+  Result<Datum> EvalGroup(const Expr& e, const Group& group,
+                          const std::vector<const Expr*>& calls,
+                          const Env& env) {
+    if (e.kind == Expr::Kind::kCall && IsAggregateName(e.func)) {
+      size_t i = std::find(calls.begin(), calls.end(), &e) - calls.begin();
+      return group.accs[i].Finish(e.func);
+    }
+    if (!ContainsAggregate(e)) {
+      if (group.first.empty()) return Datum::Null();
+      return Eval(e, group.first, env);
+    }
+    // Mixed expression (e.g. count(*) + 1): rebuild by evaluating children.
+    Expr shallow;
+    shallow.kind = e.kind;
+    shallow.op = e.op;
+    shallow.func = e.func;
+    for (const ExprPtr& arg : e.args) {
+      auto lit = std::make_unique<Expr>();
+      lit->kind = Expr::Kind::kLiteral;
+      GENALG_ASSIGN_OR_RETURN(lit->literal,
+                              EvalGroup(*arg, group, calls, env));
+      shallow.args.push_back(std::move(lit));
+    }
+    return EvalConst(shallow);
+  }
+
   // --------------------------------------------------------- SELECT.
 
+  // One push pipeline: the outer table's access path (joined with the
+  // inner tables) -> the filter -> one sink of {projected, order keys}
+  // records, then one sort, DISTINCT and LIMIT. An aggregate sink keeps
+  // per group only its first row and one accumulator per aggregate call.
+  // On plain rows LIMIT acts inside the stream: with no ORDER BY the scan
+  // stops at n records; with one, the records are cut back to the best n
+  // whenever they pass 2n + one block.
   Result<QueryResult> Exec(const SelectStmt& stmt) {
-    // Bind tables.
     std::vector<TableData*> tables;
     Env env;
     {
@@ -700,90 +729,27 @@ class Database::Executor {
         offset += table->schema.columns.size();
       }
       bind_span.SetAttr("tables", static_cast<uint64_t>(tables.size()));
+      timed_ = bind_span.enabled();
     }
     if (tables.empty()) {
       return Status::InvalidArgument("SELECT needs a FROM clause");
     }
+    if (timed_) lap_ = std::chrono::steady_clock::now();
 
-    // Materialize per-table row sets (a single table may go through an
-    // index path).
-    std::vector<std::vector<Row>> table_rows(tables.size());
-    for (size_t i = 0; i < tables.size(); ++i) {
-      obs::Span scan_span("scan");
-      scan_span.SetAttr("table", stmt.tables[i].name);
-      AccessPath path = PlanSelectScan(stmt, tables[i]);
-      GENALG_RETURN_IF_ERROR(
-          ForEachCandidate(path, [&](RecordId, Row row) -> Status {
-            table_rows[i].push_back(std::move(row));
-            return Status::OK();
-          }));
-      if (scan_span.enabled()) scan_span.SetAttr("access", path.Describe());
-      scan_span.SetAttr("rows",
-                        static_cast<uint64_t>(table_rows[i].size()));
-    }
-
-    // Cross product + WHERE.
-    std::vector<Row> combined;
-    {
-      obs::Span filter_span("filter");
-      uint64_t rows_in = 0;
-
-      std::vector<const Expr*> conjuncts =
-          OrderedConjuncts(stmt.where.get());
-
-      Row current;
-      std::function<Status(size_t)> recurse =
-          [&](size_t depth) -> Status {
-        if (depth == tables.size()) {
-          ++rows_in;
-          for (const Expr* conjunct : conjuncts) {
-            GENALG_ASSIGN_OR_RETURN(bool keep,
-                                    EvalBool(*conjunct, current, env));
-            if (!keep) return Status::OK();
-          }
-          combined.push_back(current);
-          return Status::OK();
-        }
-        for (const Row& row : table_rows[depth]) {
-          size_t before = current.size();
-          current.insert(current.end(), row.begin(), row.end());
-          Status s = recurse(depth + 1);
-          current.resize(before);
-          GENALG_RETURN_IF_ERROR(s);
-        }
-        return Status::OK();
-      };
-      GENALG_RETURN_IF_ERROR(recurse(0));
-      filter_span.SetAttr("conjuncts",
-                          static_cast<uint64_t>(conjuncts.size()));
-      filter_span.SetAttr("rows_in", rows_in);
-      filter_span.SetAttr("rows", static_cast<uint64_t>(combined.size()));
-    }
-
-    // Output expressions.
+    // Output expressions; SELECT * outputs the joined row as it is.
     std::vector<const Expr*> out_exprs;
     std::vector<std::string> out_names;
-    std::vector<ExprPtr> star_exprs;
-    if (stmt.select_star) {
-      for (const Binding& b : env.bindings) {
-        for (const ColumnInfo& col : b.schema->columns) {
-          auto e = std::make_unique<Expr>();
-          e->kind = Expr::Kind::kColumn;
-          e->table = b.alias;
-          e->column = col.name;
-          out_names.push_back(env.bindings.size() > 1
-                                  ? b.alias + "." + col.name
-                                  : col.name);
-          star_exprs.push_back(std::move(e));
-        }
+    for (const Binding& b : env.bindings) {
+      for (const ColumnInfo& col : b.schema->columns) {
+        if (!stmt.select_star) break;
+        out_names.push_back(env.bindings.size() > 1 ? b.alias + "." + col.name
+                                                    : col.name);
       }
-      for (const ExprPtr& e : star_exprs) out_exprs.push_back(e.get());
-    } else {
-      for (const SelectItem& item : stmt.items) {
-        out_exprs.push_back(item.expr.get());
-        out_names.push_back(item.alias.empty() ? item.expr->ToString()
-                                               : item.alias);
-      }
+    }
+    for (const SelectItem& item : stmt.items) {
+      out_exprs.push_back(item.expr.get());
+      out_names.push_back(item.alias.empty() ? item.expr->ToString()
+                                             : item.alias);
     }
 
     bool aggregated = !stmt.group_by.empty();
@@ -793,98 +759,154 @@ class Database::Executor {
 
     // ORDER BY may name a select-list alias; substitute the aliased
     // expression so "ORDER BY n" works for "count(*) AS n".
-    std::vector<std::pair<const Expr*, bool>> order_by;
+    OrderBy order_by;
     for (const auto& [order_expr, asc] : stmt.order_by) {
       const Expr* resolved = order_expr.get();
-      if (resolved->kind == Expr::Kind::kColumn && resolved->table.empty()) {
-        for (size_t i = 0; i < stmt.items.size(); ++i) {
-          if (stmt.items[i].alias == resolved->column) {
-            resolved = stmt.items[i].expr.get();
-            break;
-          }
+      for (const SelectItem& item : stmt.items) {
+        if (order_expr->kind == Expr::Kind::kColumn &&
+            order_expr->table.empty() && item.alias == order_expr->column) {
+          resolved = item.expr.get();
+          break;
         }
       }
       order_by.emplace_back(resolved, asc);
     }
 
-    QueryResult result;
-    result.columns = out_names;
+    // A record from `row` (joined, or a group's first) and `value`, the
+    // evaluator of one expression over the row or the group.
+    auto make_record = [&](const Row& row, auto&& value) -> Result<Record> {
+      Record record;
+      if (stmt.select_star) record.projected = row;
+      for (const Expr* e : out_exprs) {
+        GENALG_ASSIGN_OR_RETURN(Datum d, value(*e));
+        record.projected.push_back(std::move(d));
+      }
+      for (const auto& [e, asc] : order_by) {
+        GENALG_ASSIGN_OR_RETURN(Datum d, value(*e));
+        record.order_keys.push_back(std::move(d));
+      }
+      return record;
+    };
+    std::vector<const Expr*> calls;
+    for (const Expr* e : out_exprs) {
+      if (aggregated) GENALG_RETURN_IF_ERROR(CollectAggregates(*e, &calls));
+    }
+    for (const auto& [e, asc] : order_by) {
+      if (aggregated) GENALG_RETURN_IF_ERROR(CollectAggregates(*e, &calls));
+    }
 
-    if (aggregated) {
-      obs::Span agg_span("aggregate");
-      // Hash grouping on the GROUP BY keys (one global group if none).
-      std::map<std::string, std::vector<Row>> groups;
-      for (const Row& row : combined) {
+    // The sink: a plain row becomes a record; an aggregated row folds
+    // into its group.
+    std::vector<Record> records;
+    std::map<std::string, Group> groups;  // By GROUP BY key.
+    const size_t limit =
+        stmt.limit >= 0 ? static_cast<size_t>(stmt.limit) : SIZE_MAX;
+    const bool streamed_limit =
+        stmt.limit >= 0 && !aggregated && !stmt.distinct;
+    const bool stops = streamed_limit && order_by.empty();
+    auto sink = [&](Block& block) -> Result<bool> {
+      for (const Row& row : block.rows) {
+        if (stops && records.size() == limit) break;
+        if (!aggregated) {
+          GENALG_ASSIGN_OR_RETURN(
+              Record record,
+              make_record(row,
+                          [&](const Expr& e) { return Eval(e, row, env); }));
+          records.push_back(std::move(record));
+          if (streamed_limit && records.size() / 2 > limit + kBlockRows / 2) {
+            GENALG_RETURN_IF_ERROR(SortRecords(order_by, &records));
+            records.resize(limit);
+          }
+          continue;
+        }
         std::string key;
         for (const ExprPtr& g : stmt.group_by) {
           GENALG_ASSIGN_OR_RETURN(Datum d, Eval(*g, row, env));
-          key += d.OrderKey();
-          key.push_back('\x1F');
+          AppendKey(d, &key);
         }
-        groups[key].push_back(row);
-      }
-      if (groups.empty() && stmt.group_by.empty()) {
-        groups.emplace("", std::vector<Row>{});
-      }
-      struct GroupOut {
-        Row projected;
-        std::vector<Datum> order_keys;
-      };
-      std::vector<GroupOut> outs;
-      for (auto& [key, rows] : groups) {
-        GroupOut out;
-        for (const Expr* e : out_exprs) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, EvalAgg(*e, rows, env));
-          out.projected.push_back(std::move(d));
+        auto [it, opened] = groups.try_emplace(std::move(key));
+        Group& group = it->second;
+        if (opened) {
+          group.first = row;
+          group.accs.resize(calls.size());
         }
-        for (const auto& [order_expr, asc] : order_by) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, EvalAgg(*order_expr, rows, env));
-          out.order_keys.push_back(std::move(d));
+        for (size_t i = 0; i < calls.size(); ++i) {
+          const Expr& call = *calls[i];
+          GENALG_ASSIGN_OR_RETURN(
+              Datum d, call.func == "count" &&
+                               call.args[0]->kind == Expr::Kind::kStar
+                           ? Datum::Bool(true)  // count(*) counts rows.
+                           : Eval(*call.args[0], row, env));
+          GENALG_RETURN_IF_ERROR(group.accs[i].Add(call.func, std::move(d)));
         }
-        outs.push_back(std::move(out));
       }
-      GENALG_RETURN_IF_ERROR(TimedSort(&outs, order_by));
-      for (GroupOut& out : outs) {
-        result.rows.push_back(std::move(out.projected));
+      return !(stops && records.size() == limit);
+    };
+
+    // The inner tables of a join are read once; the outer one streams.
+    std::vector<std::vector<Row>> inner(tables.size() - 1);
+    for (size_t i = 1; i < tables.size(); ++i) {
+      GENALG_RETURN_IF_ERROR(ForEachCandidate(
+          PlanSelectScan(stmt, tables[i]), [&](RecordId, Row row) -> Status {
+            inner[i - 1].push_back(std::move(row));
+            return Status::OK();
+          }));
+    }
+    AccessPath path = PlanSelectScan(stmt, tables[0]);
+    std::vector<const Expr*> conjuncts = OrderedConjuncts(stmt.where.get());
+    GENALG_RETURN_IF_ERROR(Stream(path, inner, conjuncts, env, sink));
+
+    // The stages interleaved block by block, so their spans open now and
+    // report busy time summed over the blocks.
+    {
+      obs::Span scan_span("scan");
+      scan_span.AddTime(busy_ns_[kScan]);
+      scan_span.SetAttr("table", stmt.tables[0].name);
+      if (scan_span.enabled()) scan_span.SetAttr("access", path.Describe());
+      scan_span.SetAttr("rows", stage_rows_[kScan]);
+    }
+    {
+      obs::Span filter_span("filter");
+      filter_span.AddTime(busy_ns_[kFilter]);
+      filter_span.SetAttr("conjuncts",
+                          static_cast<uint64_t>(conjuncts.size()));
+      filter_span.SetAttr("rows_in", stage_rows_[kFilter]);
+      filter_span.SetAttr("rows", stage_rows_[kSink]);
+    }
+    {
+      obs::Span sink_span(aggregated ? "aggregate" : "project");
+      sink_span.AddTime(busy_ns_[kSink]);
+      if (groups.empty() && aggregated && stmt.group_by.empty()) {
+        groups[""].accs.resize(calls.size());  // The global group.
       }
-      agg_span.SetAttr("groups", static_cast<uint64_t>(result.rows.size()));
-    } else {
-      obs::Span project_span("project");
-      struct RowOut {
-        Row projected;
-        std::vector<Datum> order_keys;
-      };
-      std::vector<RowOut> outs;
-      for (const Row& row : combined) {
-        RowOut out;
-        for (const Expr* e : out_exprs) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, Eval(*e, row, env));
-          out.projected.push_back(std::move(d));
-        }
-        for (const auto& [order_expr, asc] : order_by) {
-          GENALG_ASSIGN_OR_RETURN(Datum d, Eval(*order_expr, row, env));
-          out.order_keys.push_back(std::move(d));
-        }
-        outs.push_back(std::move(out));
+      for (const auto& [key, group] : groups) {
+        GENALG_ASSIGN_OR_RETURN(
+            Record record, make_record(group.first, [&](const Expr& e) {
+              return EvalGroup(e, group, calls, env);
+            }));
+        records.push_back(std::move(record));
       }
-      GENALG_RETURN_IF_ERROR(TimedSort(&outs, order_by));
-      for (RowOut& out : outs) {
-        result.rows.push_back(std::move(out.projected));
-      }
-      project_span.SetAttr("rows",
-                           static_cast<uint64_t>(result.rows.size()));
+      sink_span.SetAttr(aggregated ? "groups" : "rows",
+                        static_cast<uint64_t>(records.size()));
     }
 
+    if (!order_by.empty()) {
+      obs::Span sort_span("sort");
+      sort_span.SetAttr("rows", static_cast<uint64_t>(records.size()));
+      GENALG_RETURN_IF_ERROR(SortRecords(order_by, &records));
+    }
+    QueryResult result;
+    result.columns = std::move(out_names);
+    for (Record& record : records) {
+      result.rows.push_back(std::move(record.projected));
+    }
     if (stmt.distinct) {
       obs::Span distinct_span("distinct");
       std::set<std::string> seen;
       std::vector<Row> unique_rows;
       for (Row& row : result.rows) {
         std::string key;
-        for (const Datum& d : row) {
-          key += d.OrderKey();
-          key.push_back('\x1F');
-        }
+        for (const Datum& d : row) AppendKey(d, &key);
         if (seen.insert(std::move(key)).second) {
           unique_rows.push_back(std::move(row));
         }
@@ -893,49 +915,12 @@ class Database::Executor {
       distinct_span.SetAttr("rows",
                             static_cast<uint64_t>(result.rows.size()));
     }
-    if (stmt.limit >= 0 &&
-        result.rows.size() > static_cast<size_t>(stmt.limit)) {
+    if (stmt.limit >= 0) {
       obs::Span limit_span("limit");
-      result.rows.resize(static_cast<size_t>(stmt.limit));
-      limit_span.SetAttr("rows",
-                         static_cast<uint64_t>(result.rows.size()));
+      if (result.rows.size() > limit) result.rows.resize(limit);
+      limit_span.SetAttr("rows", static_cast<uint64_t>(result.rows.size()));
     }
     return result;
-  }
-
-  // SortByKeys under a "sort" span when an ORDER BY is present (a sort
-  // over no keys is a no-op and gets no operator node).
-  template <typename T>
-  Status TimedSort(
-      std::vector<T>* outs,
-      const std::vector<std::pair<const Expr*, bool>>& order_by) {
-    if (order_by.empty()) return Status::OK();
-    obs::Span sort_span("sort");
-    sort_span.SetAttr("rows", static_cast<uint64_t>(outs->size()));
-    return SortByKeys(outs, order_by);
-  }
-
-  template <typename T>
-  Status SortByKeys(
-      std::vector<T>* outs,
-      const std::vector<std::pair<const Expr*, bool>>& order_by) {
-    if (order_by.empty()) return Status::OK();
-    Status error = Status::OK();
-    std::stable_sort(outs->begin(), outs->end(),
-                     [&](const T& a, const T& b) {
-                       for (size_t i = 0; i < order_by.size(); ++i) {
-                         auto c = a.order_keys[i].Compare(b.order_keys[i]);
-                         if (!c.ok()) {
-                           error = c.status();
-                           return false;
-                         }
-                         if (*c != 0) {
-                           return order_by[i].second ? *c < 0 : *c > 0;
-                         }
-                       }
-                       return false;
-                     });
-    return error;
   }
 
   // --------------------------------------------------- Access paths.
@@ -1063,6 +1048,7 @@ class Database::Executor {
   Status ForEachCandidate(const AccessPath& path, Visit&& visit) {
     auto counted = [&](RecordId rid, Row row) -> Status {
       ++db_->last_rows_scanned_;
+      ++stage_rows_[kScan];
       return visit(rid, std::move(row));
     };
     std::vector<RecordId> rids;
@@ -1093,6 +1079,126 @@ class Database::Executor {
       GENALG_RETURN_IF_ERROR(counted(rid, std::move(row)));
     }
     return Status::OK();
+  }
+
+  // --------------------------------------------------------- Pipeline.
+
+  // Rows move through a statement in blocks of at most this many (the
+  // result page size), each with the rid of its outer-table row.
+  static constexpr size_t kBlockRows = 256;
+  struct Block {
+    std::vector<RecordId> rids;
+    std::vector<Row> rows;
+  };
+  // One output row and its ORDER BY keys.
+  struct Record {
+    Row projected;
+    std::vector<Datum> order_keys;
+  };
+  using OrderBy = std::vector<std::pair<const Expr*, bool>>;
+  enum Stage { kScan, kFilter, kSink };
+
+  // Charges the time since the previous lap to `stage` when traced.
+  void Lap(Stage stage) {
+    if (!timed_) return;
+    auto now = std::chrono::steady_clock::now();
+    busy_ns_[stage] +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap_)
+            .count();
+    lap_ = now;
+  }
+
+  // The source and filter of SELECT, DELETE and UPDATE. Each candidate of
+  // `path` (the outer table), joined with every combination of the
+  // `inner` tables' rows (a nested loop, the last table innermost), goes
+  // into a block. Each full block, and the last, is filtered by the
+  // conjuncts and its survivors go to `sink`, a Result<bool>(Block&)
+  // callable that answers false to stop the scan.
+  template <typename Sink>
+  Status Stream(const AccessPath& path,
+                const std::vector<std::vector<Row>>& inner,
+                const std::vector<const Expr*>& conjuncts, const Env& env,
+                Sink&& sink) {
+    for (const std::vector<Row>& rows : inner) {
+      if (rows.empty()) return Status::OK();
+    }
+    Block block;
+    bool more = true;
+    auto flush = [&]() -> Status {
+      Lap(kScan);
+      stage_rows_[kFilter] += block.rows.size();
+      // Each conjunct runs over the whole block; the rows (and rids) it
+      // rejects leave before the next one runs.
+      for (const Expr* conjunct : conjuncts) {
+        size_t kept = 0;
+        for (size_t i = 0; i < block.rows.size(); ++i) {
+          GENALG_ASSIGN_OR_RETURN(bool keep,
+                                  EvalBool(*conjunct, block.rows[i], env));
+          if (!keep) continue;
+          if (kept != i) block.rows[kept] = std::move(block.rows[i]);
+          block.rids[kept++] = block.rids[i];
+        }
+        block.rows.resize(kept);
+        block.rids.resize(kept);
+      }
+      Lap(kFilter);
+      stage_rows_[kSink] += block.rows.size();
+      GENALG_ASSIGN_OR_RETURN(more, sink(block));
+      Lap(kSink);
+      block.rids.clear();
+      block.rows.clear();
+      return Status::OK();
+    };
+    std::vector<size_t> at(inner.size(), 0);
+    Status scanned =
+        ForEachCandidate(path, [&](RecordId rid, Row outer) -> Status {
+          do {
+            Row& row = block.rows.emplace_back(inner.empty() ? std::move(outer)
+                                                             : outer);
+            for (size_t k = 0; k < inner.size(); ++k) {
+              row.insert(row.end(), inner[k][at[k]].begin(),
+                         inner[k][at[k]].end());
+            }
+            block.rids.push_back(rid);
+            if (block.rows.size() == kBlockRows) {
+              GENALG_RETURN_IF_ERROR(flush());
+              if (!more) return Status::OutOfRange("stopped by the sink");
+            }
+          } while (NextCombination(inner, &at));
+          return Status::OK();
+        });
+    if (!more) return Status::OK();  // `scanned` is the sink's stop.
+    GENALG_RETURN_IF_ERROR(scanned);
+    return block.rows.empty() ? Status::OK() : flush();
+  }
+
+  // Steps `at` to the next combination of inner rows, the last table
+  // fastest; false once every combination has been visited.
+  static bool NextCombination(const std::vector<std::vector<Row>>& inner,
+                              std::vector<size_t>* at) {
+    for (size_t k = at->size(); k-- > 0;) {
+      if (++(*at)[k] < inner[k].size()) return true;
+      (*at)[k] = 0;
+    }
+    return false;
+  }
+
+  // Stable-sorts records by their ORDER BY keys.
+  static Status SortRecords(const OrderBy& order_by,
+                            std::vector<Record>* records) {
+    Status error = Status::OK();
+    std::stable_sort(records->begin(), records->end(),
+                     [&](const Record& a, const Record& b) {
+                       for (size_t i = 0; i < order_by.size(); ++i) {
+                         auto c = a.order_keys[i].Compare(b.order_keys[i]);
+                         if (!c.ok()) error = c.status();
+                         if (c.ok() && *c != 0) {
+                           return order_by[i].second == (*c < 0);
+                         }
+                       }
+                       return false;
+                     });
+    return error;
   }
 
   // ------------------------------------------------- Other statements.
@@ -1163,20 +1269,20 @@ class Database::Executor {
     return r;
   }
 
-  // Collects (rid, row) pairs matching `where` on one table.
-  Result<std::vector<std::pair<RecordId, Row>>> Matches(TableData* table,
-                                                        const Expr* where) {
+  // The rows of one table that satisfy `where`, with their rids: the
+  // table's candidates go through the same block filter as SELECT's.
+  Result<Block> Matches(TableData* table, const Expr* where) {
     Env env;
     env.bindings.push_back(Binding{table->schema.name, &table->schema, 0});
-    std::vector<std::pair<RecordId, Row>> matches;
-    GENALG_RETURN_IF_ERROR(ForEachCandidate(
-        PlanAccess(table, where), [&](RecordId rid, Row row) -> Status {
-          if (where != nullptr) {
-            GENALG_ASSIGN_OR_RETURN(bool keep, EvalBool(*where, row, env));
-            if (!keep) return Status::OK();
+    Block matches;
+    GENALG_RETURN_IF_ERROR(Stream(
+        PlanAccess(table, where), {}, OrderedConjuncts(where), env,
+        [&matches](Block& block) -> Result<bool> {
+          for (size_t i = 0; i < block.rows.size(); ++i) {
+            matches.rids.push_back(block.rids[i]);
+            matches.rows.push_back(std::move(block.rows[i]));
           }
-          matches.emplace_back(rid, std::move(row));
-          return Status::OK();
+          return true;
         }));
     return matches;
   }
@@ -1184,13 +1290,13 @@ class Database::Executor {
   Result<QueryResult> Exec(const DeleteStmt& stmt) {
     GENALG_ASSIGN_OR_RETURN(TableData * table,
                             db_->GetWritableTable(stmt.table, privileged_));
-    GENALG_ASSIGN_OR_RETURN(auto matches,
-                            Matches(table, stmt.where.get()));
-    for (const auto& [rid, row] : matches) {
-      GENALG_RETURN_IF_ERROR(db_->EraseRow(table, row, rid));
+    GENALG_ASSIGN_OR_RETURN(Block matches, Matches(table, stmt.where.get()));
+    for (size_t i = 0; i < matches.rows.size(); ++i) {
+      GENALG_RETURN_IF_ERROR(
+          db_->EraseRow(table, matches.rows[i], matches.rids[i]));
     }
     QueryResult r;
-    r.message = "deleted " + std::to_string(matches.size()) + " rows";
+    r.message = "deleted " + std::to_string(matches.rows.size()) + " rows";
     return r;
   }
 
@@ -1205,30 +1311,36 @@ class Database::Executor {
                               table->schema.ColumnIndex(column));
       sets.emplace_back(idx, expr.get());
     }
-    GENALG_ASSIGN_OR_RETURN(auto matches,
-                            Matches(table, stmt.where.get()));
+    GENALG_ASSIGN_OR_RETURN(Block matches, Matches(table, stmt.where.get()));
     // Every new row is computed and checked before any is written, so a
     // rejected value leaves the table untouched.
     std::vector<Row> updates;
-    for (const auto& [rid, row] : matches) {
+    for (const Row& row : matches.rows) {
       Row& updated = updates.emplace_back(row);
       for (const auto& [idx, expr] : sets) {
         GENALG_ASSIGN_OR_RETURN(updated[idx], Eval(*expr, row, env));
       }
       GENALG_RETURN_IF_ERROR(ConformRow(table->schema, &updated));
     }
-    for (size_t i = 0; i < matches.size(); ++i) {
-      const auto& [rid, row] = matches[i];
-      GENALG_RETURN_IF_ERROR(db_->EraseRow(table, row, rid));
+    for (size_t i = 0; i < matches.rows.size(); ++i) {
+      GENALG_RETURN_IF_ERROR(
+          db_->EraseRow(table, matches.rows[i], matches.rids[i]));
       GENALG_RETURN_IF_ERROR(db_->StoreRow(table, updates[i]));
     }
     QueryResult r;
-    r.message = "updated " + std::to_string(matches.size()) + " rows";
+    r.message = "updated " + std::to_string(matches.rows.size()) + " rows";
     return r;
   }
 
   Database* db_;
   bool privileged_;
+  // The current SELECT's stages, for PROFILE: rows through each
+  // (candidates read, joined rows filtered, rows passed) and, when
+  // traced, busy time summed over blocks.
+  uint64_t stage_rows_[3] = {};
+  uint64_t busy_ns_[3] = {};
+  bool timed_ = false;
+  std::chrono::steady_clock::time_point lap_;
 };
 
 Result<QueryResult> Database::Execute(std::string_view sql,

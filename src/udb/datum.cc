@@ -19,6 +19,11 @@ Result<int> Datum::Compare(const Datum& other) const {
     if (is_null() && other.is_null()) return 0;
     return is_null() ? -1 : 1;
   }
+  // Two INTs compare exactly, as their B+-tree keys do; through double,
+  // values past 2^53 would tie.
+  const int64_t* lhs = std::get_if<int64_t>(&payload_);
+  const int64_t* rhs = std::get_if<int64_t>(&other.payload_);
+  if (lhs != nullptr && rhs != nullptr) return (*lhs > *rhs) - (*lhs < *rhs);
   // Numeric cross-kind comparison.
   if ((kind() == DatumKind::kInt || kind() == DatumKind::kReal) &&
       (other.kind() == DatumKind::kInt ||

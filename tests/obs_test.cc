@@ -312,6 +312,41 @@ TEST(TraceTest, DisabledSpansAreIncrementOnlyAndDoNotAllocate) {
   EXPECT_EQ(disabled_after, disabled_before + kSpans);
 }
 
+TEST(TraceTest, AddTimeExtendsTheReportedDuration) {
+  constexpr uint64_t kBusyNs = 5'000'000'000;  // Far above any open time.
+  std::unique_ptr<SpanNode> root;
+  {
+    SpanCollector collector;
+    {
+      Span query("query");
+      { Span plain("plain"); }
+      {
+        Span stage("stage");
+        stage.AddTime(kBusyNs / 2);
+        stage.AddTime(kBusyNs / 2);
+      }
+    }
+    ASSERT_EQ(collector.roots().size(), 1u);
+    root = std::make_unique<SpanNode>(std::move(*collector.roots()[0]));
+  }
+  ASSERT_EQ(root->children.size(), 2u);
+  const SpanNode& plain = *root->children[0];
+  const SpanNode& stage = *root->children[1];
+  EXPECT_LT(plain.duration_ns, kBusyNs);
+  EXPECT_GE(stage.duration_ns, kBusyNs);
+  EXPECT_LT(stage.duration_ns, kBusyNs + kBusyNs / 2);
+  // The start moved back by the added time; the end stayed put.
+  EXPECT_GE(stage.start_ns + kBusyNs, plain.start_ns + plain.duration_ns);
+  EXPECT_LE(stage.start_ns + stage.duration_ns,
+            root->start_ns + root->duration_ns);
+
+  // On a disabled span it is a no-op.
+  Tracer::Global().Disable();
+  Span off("off");
+  off.AddTime(kBusyNs);
+  EXPECT_FALSE(off.enabled());
+}
+
 TEST(TraceTest, DisabledSpanReportsDisabled) {
   Tracer::Global().Disable();
   Span span("off");

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -499,6 +503,11 @@ void LoadAccessPathRows(Database* db, bool indexed) {
       "'))");
   run("INSERT INTO t VALUES (NULL, NULL, parse_dna('" + rng.RandomDna(80) +
       "'))");
+  // INTs past 2^53, which compare equal as doubles.
+  for (const char* big : {"9007199254740993", "9007199254740992"}) {
+    run(std::string("INSERT INTO t VALUES (") + big + ", " + big +
+        ", parse_dna('" + rng.RandomDna(80) + "'))");
+  }
 }
 
 // A result's rows as text, so a mismatch prints readably.
@@ -532,6 +541,9 @@ TEST_F(SqlTest, IndexPathsAnswerLikeScans) {
       {"contains(s, parse_dna('" + std::string(kNeedle) + "'))", true},
       {"r = 5", true, set_r},
       {"r >= 3", true, set_r},
+      {"id = 9007199254740992", true},
+      {"id > 9007199254740992", true},
+      {"9007199254740993 <= id", true},
   };
   const std::string contents = "SELECT id, r, s FROM t ORDER BY id, r";
   for (const Case& c : cases) {
@@ -955,6 +967,290 @@ TEST_F(SqlTest, LargeTableSurvivesBufferPressure) {
   EXPECT_EQ(r->rows[0][0].AsInt().value(), 1000);
   EXPECT_EQ(r->rows[0][1].AsInt().value(), 0);
   EXPECT_EQ(r->rows[0][2].AsInt().value(), 999);
+}
+
+// ------------------------------------------------ 64-bit integer arithmetic.
+
+TEST_F(SqlTest, IntegerOverflowIsAnErrorNotAWrap) {
+  MustExecute("CREATE TABLE t (a INT)");
+  MustExecute("INSERT INTO t VALUES (0)");
+  // INT64_MIN spelled without an out-of-range literal.
+  const std::string min = "(a - 9223372036854775807 - 1)";
+  for (const std::string& expr : std::vector<std::string>{
+           "a + 9223372036854775807 + 1", "a - 9223372036854775807 - 2",
+           "(a + 4611686018427387904) * 2", min + " / -1", "-" + min}) {
+    SCOPED_TRACE(expr);
+    auto r = db_->Execute("SELECT " + expr + " FROM t WHERE a = 0");
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument());
+    EXPECT_NE(r.status().ToString().find("integer overflow"),
+              std::string::npos);
+  }
+  // Results at the edges of the range are exact.
+  auto edges = MustExecute(
+      "SELECT a + 9223372036854775807, " + min +
+      ", (a + 3037000499) * 3037000499, (a - 9223372036854775807) / -1, "
+      "-(a - 9223372036854775807), " + min + " / 1 FROM t");
+  ASSERT_EQ(edges.rows.size(), 1u);
+  const Row& row = edges.rows[0];
+  EXPECT_EQ(row[0].AsInt().value(), INT64_MAX);
+  EXPECT_EQ(row[1].AsInt().value(), INT64_MIN);
+  EXPECT_EQ(row[2].AsInt().value(), 9223372030926249001);
+  EXPECT_EQ(row[3].AsInt().value(), INT64_MAX);
+  EXPECT_EQ(row[4].AsInt().value(), INT64_MAX);
+  EXPECT_EQ(row[5].AsInt().value(), INT64_MIN);
+  EXPECT_TRUE(db_->Execute("SELECT a / 0 FROM t").status().IsInvalidArgument());
+}
+
+TEST_F(SqlTest, SumOfIntsIsExact) {
+  MustExecute("CREATE TABLE t (g INT, a INT)");
+  // Group 1 sums past 2^53; group 2 passes INT64_MAX on the way to a
+  // total that fits; group 3's total does not fit.
+  MustExecute(
+      "INSERT INTO t VALUES (1, 9007199254740993), (1, 0), (1, NULL), "
+      "(2, 4611686018427387904), (2, 4611686018427387904), "
+      "(2, -4611686018427387904), (3, 9223372036854775807), (3, 1)");
+  auto sums = MustExecute(
+      "SELECT g, sum(a), count(a), avg(a) FROM t WHERE g < 3 GROUP BY g");
+  ASSERT_EQ(sums.rows.size(), 2u);
+  EXPECT_EQ(sums.rows[0][1].AsInt().value(), 9007199254740993);
+  EXPECT_EQ(sums.rows[0][2].AsInt().value(), 2);
+  EXPECT_EQ(sums.rows[1][1].AsInt().value(), 4611686018427387904);
+  EXPECT_DOUBLE_EQ(sums.rows[1][3].AsReal().value(),
+                   4611686018427387904.0 / 3);
+  auto overflow = db_->Execute("SELECT sum(a) FROM t WHERE g = 3");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().ToString().find("integer overflow"),
+            std::string::npos);
+  // Mixed with a REAL, sum is REAL.
+  auto mixed =
+      MustExecute("SELECT sum(a * 1.5) FROM t WHERE g = 1 AND a >= 0");
+  EXPECT_DOUBLE_EQ(mixed.rows[0][0].AsReal().value(),
+                   9007199254740993.0 * 1.5);
+}
+
+// ------------------------------------------------- Block-boundary oracle.
+
+// One random query and its answer computed directly from the table.
+struct OracleCase {
+  std::string sql;
+  std::vector<Row> expected;
+};
+
+// Builds a random SELECT over t(a INT, b INT, c TEXT), b holding NULLs
+// and few distinct values (ORDER BY ties), and its oracle answer: filter
+// the scanned rows, aggregate or project, stable-sort, DISTINCT, LIMIT.
+OracleCase RandomOracleCase(const std::vector<Row>& table, Rng* rng) {
+  struct Where {
+    std::string sql;
+    std::function<bool(const Row&)> keep;
+  };
+  const int64_t k = rng->UniformInt(0, 4);
+  const int64_t cut = rng->UniformInt(0, 1000);
+  auto b_ge = [k](const Row& r) {
+    return !r[1].is_null() && *r[1].AsInt() >= k;
+  };
+  const std::vector<Where> wheres = {
+      {"", [](const Row&) { return true; }},
+      {" WHERE a < " + std::to_string(cut),
+       [cut](const Row& r) { return *r[0].AsInt() < cut; }},
+      {" WHERE b = " + std::to_string(k),
+       [k](const Row& r) { return !r[1].is_null() && *r[1].AsInt() == k; }},
+      {" WHERE b >= " + std::to_string(k) + " AND a > " + std::to_string(cut),
+       [b_ge, cut](const Row& r) { return b_ge(r) && *r[0].AsInt() > cut; }},
+  };
+  const Where& where = wheres[rng->Uniform(wheres.size())];
+  std::vector<Row> kept;
+  for (const Row& r : table) {
+    if (where.keep(r)) kept.push_back(r);
+  }
+
+  // Each record: projected row, then its ORDER BY keys.
+  std::vector<std::pair<Row, Row>> records;
+  std::vector<bool> ascending;
+  std::string sql;
+  bool distinct = false;
+  const int shape = static_cast<int>(rng->Uniform(3));
+  if (shape < 2) {  // Plain projection.
+    distinct = rng->Bernoulli(0.3);
+    // Columns of t, by index, for the select list and ORDER BY.
+    const std::vector<std::vector<size_t>> lists = {{0, 1}, {1}, {1, 2}};
+    const std::vector<size_t>& list = lists[rng->Uniform(lists.size())];
+    const std::vector<std::vector<size_t>> orders = {{}, {1}, {1, 0}, {2}};
+    const std::vector<size_t>& order = orders[rng->Uniform(orders.size())];
+    const char* names[] = {"a", "b", "c"};
+    sql = distinct ? "SELECT DISTINCT " : "SELECT ";
+    for (size_t i = 0; i < list.size(); ++i) {
+      sql += (i ? ", " : "") + std::string(names[list[i]]);
+    }
+    sql += " FROM t" + where.sql;
+    for (size_t i = 0; i < order.size(); ++i) {
+      ascending.push_back(rng->Bernoulli(0.5));
+      sql += (i ? ", " : " ORDER BY ") + std::string(names[order[i]]) +
+             (ascending.back() ? "" : " DESC");
+    }
+    for (const Row& r : kept) {
+      Row projected, keys;
+      for (size_t c : list) projected.push_back(r[c]);
+      for (size_t c : order) keys.push_back(r[c]);
+      records.emplace_back(projected, keys);
+    }
+  } else {  // GROUP BY b, or one global group.
+    const bool grouped = rng->Bernoulli(0.7);
+    // `c` outside an aggregate reads the group's first row.
+    sql = std::string("SELECT ") + (grouped ? "b, " : "") +
+          "c, count(*), sum(a), min(a), max(c) FROM t" + where.sql +
+          (grouped ? " GROUP BY b" : "");
+    std::map<std::string, std::vector<Row>> groups;
+    for (const Row& r : kept) {
+      groups[grouped ? r[1].OrderKey() : ""].push_back(r);
+    }
+    if (!grouped && groups.empty()) groups[""];
+    const int order = static_cast<int>(rng->Uniform(3));
+    if (order > 0) {
+      ascending.push_back(rng->Bernoulli(0.5));
+      sql += order == 1 ? " ORDER BY count(*)" : " ORDER BY min(a)";
+      if (!ascending.back()) sql += " DESC";
+    }
+    for (const auto& [key, rows] : groups) {
+      Datum sum, min, max;
+      for (const Row& r : rows) {
+        sum = Datum::Int((sum.is_null() ? 0 : *sum.AsInt()) + *r[0].AsInt());
+        if (min.is_null() || *r[0].AsInt() < *min.AsInt()) min = r[0];
+        if (max.is_null() || *r[2].AsString() > *max.AsString()) max = r[2];
+      }
+      Row projected;
+      if (grouped) projected.push_back(rows.front()[1]);
+      Datum count = Datum::Int(static_cast<int64_t>(rows.size()));
+      Datum first_c = rows.empty() ? Datum::Null() : rows.front()[2];
+      projected.insert(projected.end(), {first_c, count, sum, min, max});
+      Row keys;
+      if (order > 0) keys.push_back(order == 1 ? count : min);
+      records.emplace_back(projected, keys);
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [&](const auto& x, const auto& y) {
+                     for (size_t i = 0; i < ascending.size(); ++i) {
+                       int c = x.second[i].Compare(y.second[i]).value();
+                       if (c != 0) return ascending[i] == (c < 0);
+                     }
+                     return false;
+                   });
+  OracleCase out;
+  for (auto& [projected, keys] : records) {
+    if (distinct && std::find(out.expected.begin(), out.expected.end(),
+                              projected) != out.expected.end()) {
+      continue;
+    }
+    out.expected.push_back(projected);
+  }
+  const std::vector<int64_t> limits = {-1, -1, 0, 1, 5, 255, 256, 257, 600};
+  const int64_t limit = limits[rng->Uniform(limits.size())];
+  if (limit >= 0) {
+    sql += " LIMIT " + std::to_string(limit);
+    if (out.expected.size() > static_cast<size_t>(limit)) {
+      out.expected.resize(static_cast<size_t>(limit));
+    }
+  }
+  out.sql = sql;
+  return out;
+}
+
+TEST_F(SqlTest, StreamedSelectMatchesOracleAcrossBlockBoundaries) {
+  Rng rng(1201);
+  for (size_t n : {0, 1, 255, 256, 257, 3 * 256 + 1}) {
+    Database db(adapter_.get());
+    ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT, b INT, c TEXT)").ok());
+    for (size_t i = 0; i < n; ++i) {
+      Datum b = rng.Bernoulli(0.15) ? Datum::Null()
+                                    : Datum::Int(rng.UniformInt(0, 4));
+      ASSERT_TRUE(db.InsertRow("t", {Datum::Int(rng.UniformInt(0, 999)), b,
+                                     Datum::String(rng.RandomString(2, "xyz"))})
+                      .ok());
+    }
+    auto table = db.ScanTable("t");
+    ASSERT_TRUE(table.ok());
+
+    // A three-table nested loop: t outermost, v innermost, and blocks
+    // that end inside one outer row's combinations.
+    ASSERT_TRUE(db.Execute("CREATE TABLE u (x INT)").ok());
+    ASSERT_TRUE(db.Execute("CREATE TABLE v (y TEXT)").ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO u VALUES (1), (2), (3)").ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO v VALUES ('p'), ('q')").ok());
+    std::vector<Row> joined;
+    for (const Row& r : *table) {
+      for (int x = 1; x <= 3; ++x) {
+        for (const char* y : {"p", "q"}) {
+          if (!r[1].is_null() && *r[1].AsInt() >= x) {
+            joined.push_back({r[0], Datum::Int(x), Datum::String(y)});
+          }
+        }
+      }
+    }
+    auto join =
+        db.Execute("SELECT t.a, u.x, v.y FROM t, u, v WHERE t.b >= u.x");
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_TRUE(join->rows == joined) << n << " rows";
+    auto limited =
+        db.Execute("SELECT t.a, u.x, v.y FROM t, u, v WHERE t.b >= u.x "
+                   "LIMIT 300");
+    ASSERT_TRUE(limited.ok());
+    if (joined.size() > 300) joined.resize(300);
+    EXPECT_TRUE(limited->rows == joined) << n << " rows";
+
+    for (int q = 0; q < 60; ++q) {
+      OracleCase c = RandomOracleCase(*table, &rng);
+      SCOPED_TRACE(std::to_string(n) + " rows: " + c.sql);
+      auto result = db.Execute(c.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->rows == c.expected)
+          << RenderRows(*result) << "vs oracle\n"
+          << RenderRows(QueryResult{{}, c.expected, ""});
+    }
+  }
+}
+
+TEST_F(SqlTest, LimitWithoutOrderStopsTheScanAfterOneBlock) {
+  MustExecute("CREATE TABLE t (a INT)");
+  for (int i = 0; i < 100 * 256; ++i) {
+    ASSERT_TRUE(db_->InsertRow("t", {Datum::Int(i * 7 % 1000)}).ok());
+  }
+  auto all = MustExecute("SELECT a FROM t");
+  ASSERT_EQ(all.rows.size(), 100u * 256);
+  EXPECT_EQ(db_->last_rows_scanned(), 100u * 256);
+  auto first = MustExecute("SELECT a FROM t LIMIT 5");
+  EXPECT_LE(db_->last_rows_scanned(), 256u);
+  EXPECT_EQ(first.rows,
+            std::vector<Row>(all.rows.begin(), all.rows.begin() + 5));
+}
+
+TEST_F(SqlTest, ProfileSumsStageTimesOverBlocks) {
+  MustExecute("CREATE TABLE t (a INT)");
+  for (int i = 0; i < 10 * 256; ++i) {
+    ASSERT_TRUE(db_->InsertRow("t", {Datum::Int(i)}).ok());
+  }
+  auto profile =
+      db_->Profile("SELECT a + 1 FROM t WHERE a >= 100 ORDER BY a DESC");
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  ASSERT_FALSE(profile->rows.empty());
+  double execute_us = profile->rows[0][1].AsReal().value();
+  double stages_us = 0;
+  std::vector<std::string> ops;
+  for (const Row& row : profile->rows) {
+    std::string op = row[0].AsString().value();
+    if (op.rfind("  ", 0) != 0 || op[2] == ' ') continue;  // Direct child.
+    ops.push_back(op.substr(2));
+    stages_us += row[1].AsReal().value();
+    if (op == "  scan") {
+      EXPECT_EQ(row[2].AsInt().value(), 10 * 256);
+    } else if (op == "  filter" || op == "  project") {
+      EXPECT_EQ(row[2].AsInt().value(), 10 * 256 - 100);
+    }
+  }
+  EXPECT_EQ(ops, (std::vector<std::string>{"parse", "bind", "scan", "filter",
+                                           "project", "sort"}));
+  EXPECT_LE(stages_us, execute_us);
 }
 
 }  // namespace
