@@ -10,12 +10,21 @@
 //
 // Every timed kernel call is checked against the full DP first, so a run
 // that produced a wrong score or statistic aborts instead of reporting it.
+//
+// The lane rows time the stats pass the way the SQL filter runs it: 120
+// rows of 300-700 bp against one mutated 40 or 200 bp pattern, scalar
+// LocalAlignStats row by row against LocalAlignStatsBlock's 8-lane (SSE2)
+// and, where the CPU has AVX2, 16-lane kernel, on one thread. Each lane
+// width is checked against scalar before it is timed; the JSON records
+// the median and IQR of pairs/s over the reps, the ISA the dispatch picks,
+// nproc and the compiler.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/aligner.h"
@@ -235,8 +244,109 @@ PredicateResult RunPredicate(const char* name, double min_identity,
   return out;
 }
 
+// Median and interquartile range of a sample.
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+  };
+  return Spread{at(0.5), at(0.75) - at(0.25)};
+}
+
+struct LaneResult {
+  size_t pattern_length = 0;
+  size_t rows = 0;
+  Spread scalar;  // Pairs per second.
+  Spread lanes8;
+  Spread lanes16;  // Zero when the CPU has no AVX2.
+};
+
+LaneResult RunLanes(size_t pattern_length) {
+  constexpr int kReps = 15;
+  Rng rng(7100 + pattern_length);
+  std::vector<std::string> rows;
+  for (int i = 0; i < 120; ++i) {
+    rows.push_back(rng.RandomDna(300 + rng.Uniform(401)));
+  }
+  const std::vector<std::string_view> views(rows.begin(), rows.end());
+  const std::string& home = rows[rng.Uniform(rows.size())];
+  std::string b = home.substr(rng.Uniform(home.size() - pattern_length),
+                              pattern_length);
+  for (size_t k = 0; k < pattern_length / 20; ++k) {
+    b[rng.Uniform(b.size())] = rng.Pick("ACGT");
+  }
+  const auto& scoring = align::SubstitutionMatrix::Nucleotide();
+  const align::GapPenalties gaps;
+  align::AlignScratch scratch;
+  std::vector<align::AlignmentStats> want;
+  for (const std::string& a : rows) {
+    want.push_back(align::LocalAlignStats(a, b, scoring, gaps).value());
+  }
+  const auto check = [&](const std::vector<align::AlignmentStats>& got) {
+    for (size_t k = 0; k < want.size(); ++k) {
+      if (got[k].score != want[k].score || got[k].length != want[k].length ||
+          got[k].identities != want[k].identities) {
+        std::fprintf(stderr, "lane kernel disagrees with scalar on row %zu\n",
+                     k);
+        std::abort();
+      }
+    }
+  };
+  const auto pairs_per_s = [&](auto&& body) {
+    body();  // Warm-up.
+    std::vector<double> samples;
+    for (int r = 0; r < kReps; ++r) {
+      auto start = std::chrono::steady_clock::now();
+      body();
+      auto stop = std::chrono::steady_clock::now();
+      samples.push_back(static_cast<double>(rows.size()) /
+                        std::chrono::duration<double>(stop - start).count());
+    }
+    return SpreadOf(std::move(samples));
+  };
+  LaneResult out;
+  out.pattern_length = pattern_length;
+  out.rows = rows.size();
+  out.scalar = pairs_per_s([&] {
+    for (size_t k = 0; k < rows.size(); ++k) {
+      if (align::LocalAlignStats(rows[k], b, scoring, gaps, &scratch)
+              ->score != want[k].score) {
+        std::abort();
+      }
+    }
+  });
+  for (size_t lanes : {8, 16}) {
+    if (lanes > align::StatsLanes()) continue;
+    check(align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
+                                      &scratch)
+              .value());
+    const Spread spread = pairs_per_s([&] {
+      if (align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
+                                      &scratch)
+              ->size() != rows.size()) {
+        std::abort();
+      }
+    });
+    (lanes == 8 ? out.lanes8 : out.lanes16) = spread;
+  }
+  return out;
+}
+
 }  // namespace
 }  // namespace genalg::bench
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
 
 int main(int argc, char** argv) {
   using namespace genalg::bench;
@@ -273,6 +383,16 @@ int main(int argc, char** argv) {
         "screened=%.2fms (%.1fx)\n",
         p.name, p.min_identity, p.min_overlap, p.pairs, p.full_dp_ms,
         p.screened_ms, p.full_dp_ms / p.screened_ms);
+  }
+
+  LaneResult lanes[] = {RunLanes(40), RunLanes(200)};
+  for (const LaneResult& l : lanes) {
+    std::printf(
+        "lanes[%zu bp x %zu rows] pairs/s: scalar=%.0f sse2=%.0f (%.1fx) "
+        "avx2=%.0f (%.1fx)\n",
+        l.pattern_length, l.rows, l.scalar.median, l.lanes8.median,
+        l.lanes8.median / l.scalar.median, l.lanes16.median,
+        l.lanes16.median / l.scalar.median);
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -313,6 +433,26 @@ int main(int argc, char** argv) {
                  r.name, r.min_identity, r.min_overlap, r.pairs,
                  r.full_dp_ms, r.screened_ms,
                  r.full_dp_ms / r.screened_ms, p + 1 < 2 ? "," : "");
+  }
+  std::fprintf(out, "  ],\n");
+  std::fprintf(out,
+               "  \"machine\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"lane_isa\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), kCompiler,
+               genalg::align::StatsLanes() == 16 ? "avx2" : "sse2");
+  std::fprintf(out, "  \"lanes\": [\n");
+  for (size_t i = 0; i < 2; ++i) {
+    const LaneResult& l = lanes[i];
+    std::fprintf(
+        out,
+        "    {\"pattern_length\": %zu, \"rows\": %zu, \"row_length\": "
+        "\"300-700\", \"reps\": 15, "
+        "\"scalar_pairs_per_s\": %.0f, \"scalar_iqr\": %.0f, "
+        "\"sse2_pairs_per_s\": %.0f, \"sse2_iqr\": %.0f, "
+        "\"avx2_pairs_per_s\": %.0f, \"avx2_iqr\": %.0f}%s\n",
+        l.pattern_length, l.rows, l.scalar.median, l.scalar.iqr,
+        l.lanes8.median, l.lanes8.iqr, l.lanes16.median, l.lanes16.iqr,
+        i + 1 < 2 ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -15,6 +15,54 @@ using seq::ProteinSequence;
 
 std::string S(std::string_view sv) { return std::string(sv); }
 
+// resembles(a, b [, min_identity]) on one row.
+Result<Value> ResemblesRow(const std::vector<Value>& args) {
+  GENALG_ASSIGN_OR_RETURN(NucleotideSequence a, args[0].AsNucSeq());
+  GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1].AsNucSeq());
+  double min_identity = 0.8;
+  if (args.size() > 2) {
+    GENALG_ASSIGN_OR_RETURN(min_identity, args[2].AsReal());
+  }
+  GENALG_ASSIGN_OR_RETURN(bool r, align::Resembles(a, b, min_identity));
+  return Value::Bool(r);
+}
+
+// The block form of `resembles`: rows that share one pattern `b` (and
+// min_identity) run through align::ResemblesBlock's lane kernel, which
+// puts the rows `a` in its lanes; any other block goes row by row.
+Status ResemblesBlockForm(const std::vector<std::vector<Value>>& args,
+                          size_t rows, std::vector<Value>* out) {
+  const auto row_of = [&](const std::vector<Value>& column, size_t r) {
+    return column.size() == 1 ? 0 : r;
+  };
+  if (args[1].size() != 1 || (args.size() > 2 && args[2].size() != 1)) {
+    std::vector<Value> tuple(args.size());
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t k = 0; k < args.size(); ++k) {
+        tuple[k] = args[k][row_of(args[k], r)];
+      }
+      GENALG_ASSIGN_OR_RETURN(Value v, ResemblesRow(tuple));
+      out->push_back(std::move(v));
+    }
+    return Status::OK();
+  }
+  std::vector<const NucleotideSequence*> lanes(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const Value& a = args[0][row_of(args[0], r)];
+    lanes[r] = a.NucSeqOrNull();
+    if (lanes[r] == nullptr) return a.AsNucSeq().status();
+  }
+  GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1][0].AsNucSeq());
+  double min_identity = 0.8;
+  if (args.size() > 2) {
+    GENALG_ASSIGN_OR_RETURN(min_identity, args[2][0].AsReal());
+  }
+  GENALG_ASSIGN_OR_RETURN(std::vector<bool> hits,
+                          align::ResemblesBlock(b, lanes, min_identity));
+  for (bool hit : hits) out->push_back(Value::Bool(hit));
+  return Status::OK();
+}
+
 }  // namespace
 
 Status RegisterStandardAlgebra(SignatureRegistry* registry) {
@@ -199,25 +247,14 @@ Status RegisterStandardAlgebra(SignatureRegistry* registry) {
 
   GENALG_RETURN_IF_ERROR(registry->RegisterOperator(
       {"resembles", {S(kSortNucSeq), S(kSortNucSeq)}, S(kSortBool)},
-      [](const std::vector<Value>& args) -> Result<Value> {
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence a, args[0].AsNucSeq());
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1].AsNucSeq());
-        GENALG_ASSIGN_OR_RETURN(bool r, align::Resembles(a, b));
-        return Value::Bool(r);
-      },
+      ResemblesRow,
       "Similarity predicate: best local alignment reaches 80% identity "
-      "over at least 16 bases."));
+      "over at least 16 bases.",
+      ResemblesBlockForm));
   GENALG_RETURN_IF_ERROR(registry->RegisterOperator(
       {"resembles", {S(kSortNucSeq), S(kSortNucSeq), S(kSortReal)},
        S(kSortBool)},
-      [](const std::vector<Value>& args) -> Result<Value> {
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence a, args[0].AsNucSeq());
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1].AsNucSeq());
-        GENALG_ASSIGN_OR_RETURN(double min_identity, args[2].AsReal());
-        GENALG_ASSIGN_OR_RETURN(bool r,
-                                align::Resembles(a, b, min_identity));
-        return Value::Bool(r);
-      }));
+      ResemblesRow, "", ResemblesBlockForm));
 
   GENALG_RETURN_IF_ERROR(registry->RegisterOperator(
       {"align_score", {S(kSortNucSeq), S(kSortNucSeq)}, S(kSortInt)},

@@ -1,6 +1,7 @@
 #include "algebra/signature.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace genalg::algebra {
 
@@ -43,7 +44,8 @@ std::vector<SortInfo> SignatureRegistry::ListSorts() const {
 
 Status SignatureRegistry::RegisterOperator(OperatorSignature signature,
                                            GenomicFunction fn,
-                                           std::string description) {
+                                           std::string description,
+                                           GenomicBlockFunction block) {
   if (signature.name.empty()) {
     return Status::InvalidArgument("empty operator name");
   }
@@ -65,6 +67,7 @@ Status SignatureRegistry::RegisterOperator(OperatorSignature signature,
     }
   }
   overloads.push_back(OperatorEntry{std::move(signature), std::move(fn),
+                                    std::move(block),
                                     std::move(description)});
   return Status::OK();
 }
@@ -120,15 +123,12 @@ std::string SignatureRegistry::Documentation(std::string_view name) const {
   return it->second.front().description;
 }
 
-Result<Value> SignatureRegistry::Apply(std::string_view name,
-                                       const std::vector<Value>& args) const {
+Result<const SignatureRegistry::OperatorEntry*> SignatureRegistry::Find(
+    std::string_view name, const std::vector<std::string>& arg_sorts) const {
   auto it = operators_.find(name);
   if (it == operators_.end()) {
     return Status::NotFound("no operator named '" + std::string(name) + "'");
   }
-  std::vector<std::string> arg_sorts;
-  arg_sorts.reserve(args.size());
-  for (const Value& v : args) arg_sorts.emplace_back(v.sort());
   for (const OperatorEntry& entry : it->second) {
     if (entry.signature.arg_sorts != arg_sorts) continue;
     if (!entry.fn) {
@@ -136,7 +136,7 @@ Result<Value> SignatureRegistry::Apply(std::string_view name,
           "operator '" + entry.signature.ToString() +
           "' has a declared signature but no operational semantics");
     }
-    return entry.fn(args);
+    return &entry;
   }
   std::string sorts;
   for (size_t i = 0; i < arg_sorts.size(); ++i) {
@@ -145,6 +145,46 @@ Result<Value> SignatureRegistry::Apply(std::string_view name,
   }
   return Status::NotFound("no overload of '" + std::string(name) +
                           "' accepts (" + sorts + ")");
+}
+
+Result<Value> SignatureRegistry::Apply(std::string_view name,
+                                       const std::vector<Value>& args) const {
+  std::vector<std::string> arg_sorts;
+  arg_sorts.reserve(args.size());
+  for (const Value& v : args) arg_sorts.emplace_back(v.sort());
+  GENALG_ASSIGN_OR_RETURN(const OperatorEntry* entry,
+                          Find(name, arg_sorts));
+  return entry->fn(args);
+}
+
+Status SignatureRegistry::ApplyBlock(std::string_view name,
+                                     std::vector<std::vector<Value>> args,
+                                     size_t rows,
+                                     std::vector<Value>* out) const {
+  if (rows == 0) return Status::OK();
+  // The block resolves by its first row; a row of other sorts sends the
+  // block down the row-by-row path, which resolves each row.
+  std::vector<std::string> arg_sorts;
+  arg_sorts.reserve(args.size());
+  bool uniform = true;
+  for (const std::vector<Value>& column : args) {
+    arg_sorts.emplace_back(column.front().sort());
+    for (const Value& v : column) {
+      uniform = uniform && v.sort() == arg_sorts.back();
+    }
+  }
+  GENALG_ASSIGN_OR_RETURN(const OperatorEntry* entry, Find(name, arg_sorts));
+  if (uniform && entry->block) return entry->block(args, rows, out);
+  std::vector<Value> tuple(args.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = 0; k < args.size(); ++k) {
+      tuple[k] = args[k].size() == 1 ? args[k][0] : std::move(args[k][r]);
+    }
+    GENALG_ASSIGN_OR_RETURN(Value v, uniform ? entry->fn(tuple)
+                                             : Apply(name, tuple));
+    out->push_back(std::move(v));
+  }
+  return Status::OK();
 }
 
 size_t SignatureRegistry::operator_count() const {

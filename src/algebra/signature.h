@@ -37,6 +37,17 @@ struct OperatorSignature {
 using GenomicFunction =
     std::function<Result<Value>(const std::vector<Value>&)>;
 
+/// The block form of an operator, for operators that can share work
+/// across rows: applies it to `rows` argument tuples at once. args[k]
+/// holds argument k, either one value per row or one value every row
+/// shares. It appends one result per row to `out` and must answer exactly
+/// as the operator's function applied row by row would — on an error it
+/// returns the first failing row's status, after appending the results
+/// of the rows before it.
+using GenomicBlockFunction =
+    std::function<Status(const std::vector<std::vector<Value>>& args,
+                         size_t rows, std::vector<Value>* out)>;
+
 /// Descriptive metadata for a sort (feeds the ontology layer and user
 /// documentation).
 struct SortInfo {
@@ -76,8 +87,10 @@ class SignatureRegistry {
   /// Registers an operator with semantics. All referenced sorts must be
   /// registered. Overloads on distinct argument-sort strings are allowed;
   /// re-registering an identical argument-sort string is AlreadyExists.
+  /// `block` (optional) is a block form of `fn`.
   Status RegisterOperator(OperatorSignature signature, GenomicFunction fn,
-                          std::string description = "");
+                          std::string description = "",
+                          GenomicBlockFunction block = nullptr);
 
   /// Registers a signature whose operational semantics are unknown
   /// (evaluates to Unimplemented).
@@ -105,6 +118,15 @@ class SignatureRegistry {
   Result<Value> Apply(std::string_view name,
                       const std::vector<Value>& args) const;
 
+  /// Apply over a block of `rows` argument tuples, laid out as for a
+  /// GenomicBlockFunction, with the same results and the same first error
+  /// as Apply row by row. The overload is resolved once per block; it
+  /// runs its block form when it has one and every row has the resolved
+  /// sorts, else its function row by row.
+  Status ApplyBlock(std::string_view name,
+                    std::vector<std::vector<Value>> args, size_t rows,
+                    std::vector<Value>* out) const;
+
   size_t sort_count() const { return sorts_.size(); }
   size_t operator_count() const;
 
@@ -112,8 +134,14 @@ class SignatureRegistry {
   struct OperatorEntry {
     OperatorSignature signature;
     GenomicFunction fn;  // Null => declared-only.
+    GenomicBlockFunction block;  // Null => row by row.
     std::string description;
   };
+
+  // The overload of `name` for `arg_sorts`, NotFound or Unimplemented as
+  // Apply reports them.
+  Result<const OperatorEntry*> Find(
+      std::string_view name, const std::vector<std::string>& arg_sorts) const;
 
   std::map<std::string, SortInfo, std::less<>> sorts_;
   std::map<std::string, std::vector<OperatorEntry>, std::less<>> operators_;

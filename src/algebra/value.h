@@ -104,6 +104,12 @@ class Value {
   }
   Result<OpaqueValue> AsOpaque() const;
 
+  /// The nucleotide sequence this value holds, or nullptr: AsNucSeq
+  /// without the copy, for operators that read many values at once.
+  const seq::NucleotideSequence* NucSeqOrNull() const {
+    return std::get_if<seq::NucleotideSequence>(&payload_);
+  }
+
   bool operator==(const Value& other) const {
     return payload_ == other.payload_;
   }

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace genalg::align {
 
 namespace {
@@ -269,63 +267,6 @@ Status ParallelIndexed(ThreadPool* pool, size_t n,
   return Status::OK();
 }
 
-// Decides the `resembles` predicate for one pair. The verdict is
-// bit-identical to running the full local alignment and checking its
-// length and identity — the kernels only change how cheaply a verdict is
-// reached:
-//   1. trivial rejects (empty inputs; shorter input cannot hold the
-//      identity matches the predicate demands);
-//   2. a score floor every qualifying alignment must reach, refuted in
-//      O(min(n, m)) memory by the early-terminating score-only kernel;
-//   3. pairs whose score clears the floor take one LocalAlignStats pass,
-//      which yields the length and identity of the alignment LocalAlign
-//      would trace back, in O(m) memory.
-Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
-                                            std::string_view b,
-                                            double min_identity,
-                                            size_t min_overlap,
-                                            AlignScratch* scratch) {
-  SimilarityVerdict out;
-  const GapPenalties gaps;
-  const SubstitutionMatrix scoring = SubstitutionMatrix::Nucleotide();
-  // The full DP on an empty input yields the empty alignment (length 0,
-  // identity 0); answer with its verdict directly.
-  if (a.empty() || b.empty()) {
-    out.hit = min_overlap == 0 && min_identity <= 0.0;
-    return out;
-  }
-  if (min_identity > 1.0) return out;  // Identity never exceeds 1.
-  const double theta = std::max(0.0, min_identity);
-  // A qualifying alignment holds >= theta * min_overlap identity-match
-  // columns, and matches cannot outnumber the shorter input.
-  if (theta > 0.0 && static_cast<double>(std::min(a.size(), b.size())) <
-                         theta * static_cast<double>(min_overlap) - 1e-6) {
-    return out;
-  }
-  const ScoringProfile& profile = ScoringProfile::NucleotideDefault();
-  profile.Encode(a, &scratch->codes_a);
-  profile.Encode(b, &scratch->codes_b);
-  const int64_t floor =
-      ResemblesScoreFloor(profile, gaps, min_identity, min_overlap,
-                          scratch->codes_a, scratch->codes_b);
-  if (floor == std::numeric_limits<int64_t>::max()) return out;
-  GENALG_ASSIGN_OR_RETURN(
-      bool reachable, LocalScoreReaches(a, b, scoring, gaps, floor, scratch));
-  if (!reachable) return out;  // Best score provably below the floor.
-  static obs::Counter* confirm_dps =
-      obs::Registry::Global().GetCounter("align.resembles.confirm_dps");
-  confirm_dps->Increment();
-  GENALG_ASSIGN_OR_RETURN(AlignmentStats best,
-                          LocalAlignStats(a, b, scoring, gaps, scratch));
-  if (best.length < min_overlap) return out;
-  const double identity = best.Identity();
-  if (identity < min_identity) return out;
-  out.hit = true;
-  out.identity = identity;
-  out.score = best.score;
-  return out;
-}
-
 }  // namespace
 
 Result<std::vector<Alignment>> BatchLocalAlign(
@@ -389,6 +330,27 @@ Result<std::vector<SimilarityVerdict>> BatchSimilarity(
         return Status::OK();
       }));
   return verdicts;
+}
+
+Result<std::vector<bool>> ResemblesBlock(
+    const seq::NucleotideSequence& b,
+    const std::vector<const seq::NucleotideSequence*>& rows,
+    double min_identity, size_t min_overlap) {
+  if (min_identity < 0.0 || min_identity > 1.0) {
+    return Status::InvalidArgument("min_identity must be in [0, 1]");
+  }
+  thread_local AlignScratch scratch;
+  const std::string chars_b = b.ToString();
+  std::vector<std::string> chars;
+  chars.reserve(rows.size());
+  for (const seq::NucleotideSequence* row : rows) {
+    chars.push_back(row->ToString());
+  }
+  std::vector<uint8_t> hits;
+  GENALG_RETURN_IF_ERROR(ResemblesLanes(
+      std::vector<std::string_view>(chars.begin(), chars.end()), chars_b,
+      min_identity, min_overlap, &scratch, &hits));
+  return std::vector<bool>(hits.begin(), hits.end());
 }
 
 Result<bool> Resembles(const seq::NucleotideSequence& a,

@@ -96,15 +96,6 @@ Result<std::vector<bool>> BatchResembles(
     double min_identity = 0.8, size_t min_overlap = 16,
     ThreadPool* pool = nullptr);
 
-/// One target's outcome from BatchSimilarity: whether it passed the
-/// (min_identity, min_overlap) predicate, and if so the identity and
-/// score of its best local alignment.
-struct SimilarityVerdict {
-  bool hit = false;
-  double identity = 0.0;
-  int64_t score = 0;
-};
-
 /// Batched similarity search: evaluates the `resembles` predicate of
 /// `query` against every target and reports identity + score for the
 /// hits — what Mediator::SimilarTo needs, without materializing gapped
@@ -129,6 +120,16 @@ Result<std::vector<SimilarityVerdict>> BatchSimilarity(
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
                        double min_identity = 0.8, size_t min_overlap = 16);
+
+/// Resembles(*rows[k], b, min_identity, min_overlap) for every k, the
+/// verdicts bit-identical, from the lane kernel (kernels.h): one shared
+/// pattern `b` against up to 8 (SSE2) or 16 (AVX2) rows per pass. The
+/// block form of the SQL operator, which udb's filter calls once per row
+/// block. Runs on the calling thread.
+Result<std::vector<bool>> ResemblesBlock(
+    const seq::NucleotideSequence& b,
+    const std::vector<const seq::NucleotideSequence*>& rows,
+    double min_identity = 0.8, size_t min_overlap = 16);
 
 }  // namespace genalg::align
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "align/aligner.h"
@@ -277,7 +278,435 @@ AlignmentStats LocalStatsCore(const ScoringProfile& profile,
   return out;
 }
 
+// LocalAlignStats on the scalar path, for inputs already encoded into
+// scratch->codes_a (a) and scratch->codes_b (b); past the int32 bound the
+// int64 full DP traces the alignment back instead.
+Result<AlignmentStats> ScalarStats(const ScoringProfile& profile,
+                                   const SubstitutionMatrix& scoring,
+                                   std::string_view a, std::string_view b,
+                                   const GapPenalties& gaps,
+                                   AlignScratch* scratch) {
+  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
+    Metrics().full_dp_fallbacks->Increment();
+    GENALG_ASSIGN_OR_RETURN(Alignment full,
+                            LocalAlign(a, b, scoring, gaps, scratch));
+    return AlignmentStats{full.score, full.Length(), full.Identities()};
+  }
+  return LocalStatsCore(profile, a, b, scratch->codes_a, scratch->codes_b,
+                        gaps, scratch);
+}
+
+// ------------------------------------------------------------ Lane kernel.
+//
+// LocalStatsCore for up to 8 or 16 rows at once: lane l of every vector
+// runs row a_l against the shared columns of b, so each lane keeps the
+// scalar kernel's row-major tie order exactly. The cells are int16: the
+// M, X and best(M, X, Y) scores, and for each of those three paths its
+// length and identity count in lanes of their own, chosen by the same
+// selects as the scalar code. A lane whose row has ended keeps running on
+// pad rows that score kNegInf16 against every column and never match, so
+// its M cells are 0 from then on and its best cell never moves.
+//
+// A-priori int16 bound: the kernel's cells stay in [kNegInf16 + extend,
+// kLaneMax] when every row's best possible score (max_pair x
+// min(|a|, |b|)) and |a| + |b| are at most kLaneMax, and the profile's
+// worst substitution and gap open + extend are no worse than
+// -kLanePenaltyMax. A pad row's diagonal is then kNegInf16 plus at most
+// kLaneMax, always negative. Rows outside the bound take ScalarStats.
+
+constexpr int32_t kLaneMax = 16000;
+constexpr int32_t kLanePenaltyMax = 8192;
+constexpr int16_t kNegInf16 = -16384;
+
+bool ProfileFitsLanes(const ScoringProfile& profile,
+                      const GapPenalties& gaps) {
+  return profile.min_pair_score() >= -kLanePenaltyMax &&
+         int64_t{gaps.open} + gaps.extend >= -kLanePenaltyMax;
+}
+
+bool RowFitsLanes(size_t n, size_t m, const ScoringProfile& profile) {
+  const int64_t gain = std::max(profile.max_pair_score(), 0);
+  return n + m <= static_cast<size_t>(kLaneMax) &&
+         gain * static_cast<int64_t>(std::min(n, m)) <= kLaneMax;
+}
+
+typedef int16_t Lanes8 __attribute__((vector_size(16)));
+typedef int16_t Lanes16 __attribute__((vector_size(32)));
+
+// Per column of b, the previous row's cells: M, X and best scores, then
+// the length and identity count of each one's path.
+enum LaneField { kM, kX, kBest, kMLen, kMId, kXLen, kXId, kBestLen,
+                 kBestId, kLaneFields };
+
+// One pass of the lane kernel: plain data only, so that no vector value
+// crosses into a function compiled for another ISA.
+struct LanePass {
+  const ScoringProfile* profile;
+  std::string_view b;
+  // b by distinct character: slot of each column, character of each slot.
+  const uint8_t* slot_of_column;
+  const char* slot_char;
+  const uint8_t* slot_code;  // Residue class of each slot's character.
+  size_t slots;
+  const std::string_view* rows;  // `count` rows, the longest last.
+  size_t count;
+  int16_t open_extend, extend;
+  // kLaneFields * |b| vectors of cells, then per slot one vector of
+  // scores and one of identity flags for the current row.
+  int16_t* cells;
+  AlignmentStats* out;
+};
+
+// Vectors move to and from the int16 storage only through these, as
+// unaligned loads and stores; they take pointers, so no vector value is
+// ever passed or returned.
+template <typename V>
+[[gnu::always_inline]] inline void LoadLanes(V* v, const int16_t* p) {
+  std::memcpy(v, p, sizeof(V));
+}
+template <typename V>
+[[gnu::always_inline]] inline void StoreLanes(int16_t* p, const V* v) {
+  std::memcpy(p, v, sizeof(V));
+}
+
+// Written once over the vector type; always inlined, so each caller
+// compiles it for its own ISA.
+template <typename V>
+[[gnu::always_inline]] inline void LaneStatsPass(const LanePass& pass) {
+  constexpr size_t kLanes = sizeof(V) / sizeof(int16_t);
+  constexpr size_t kStride = kLaneFields * kLanes;
+  const size_t cols = pass.b.size();
+  int16_t* const cells = pass.cells;
+  int16_t* const scores = cells + cols * kStride;
+  int16_t* const identical = scores + pass.slots * kLanes;
+  const V zero = {};
+  const V one = zero + int16_t{1};
+  const V neg_inf = zero + kNegInf16;
+  const V oe = zero + pass.open_extend;
+  const V ext = zero + pass.extend;
+  for (size_t j = 0; j < cols; ++j) {
+    for (size_t f = 0; f < kLaneFields; ++f) {
+      StoreLanes(cells + j * kStride + f * kLanes, f == kX ? &neg_inf : &zero);
+    }
+  }
+  V best = zero, best_len = zero, best_id = zero;
+  const size_t height = pass.rows[pass.count - 1].size();
+  for (size_t i = 0; i < height; ++i) {
+    // This row's score and identity flag of every lane against each
+    // distinct character of b.
+    for (size_t l = 0; l < kLanes; ++l) {
+      const bool real = l < pass.count && i < pass.rows[l].size();
+      const char ai = real ? pass.rows[l][i] : '-';
+      const int32_t* row = pass.profile->Row(pass.profile->Code(ai));
+      for (size_t s = 0; s < pass.slots; ++s) {
+        scores[s * kLanes + l] =
+            real ? static_cast<int16_t>(row[pass.slot_code[s]]) : kNegInf16;
+        identical[s * kLanes + l] = real && ai != '-' &&
+                                    ai == pass.slot_char[s];
+      }
+    }
+    V m_left = zero, m_left_len = zero, m_left_id = zero;
+    V y_left = neg_inf, y_left_len = zero, y_left_id = zero;
+    V diag = zero, diag_len = zero, diag_id = zero;
+    for (size_t j = 0; j < cols; ++j) {
+      int16_t* c = cells + j * kStride;
+      const size_t slot = pass.slot_of_column[j] * kLanes;
+      V score, same, m, x, x_len, x_id, m_len, m_id;
+      LoadLanes(&score, scores + slot);
+      LoadLanes(&same, identical + slot);
+      LoadLanes(&m, c + kM * kLanes);
+      LoadLanes(&x, c + kX * kLanes);
+      LoadLanes(&m_len, c + kMLen * kLanes);
+      LoadLanes(&m_id, c + kMId * kLanes);
+      LoadLanes(&x_len, c + kXLen * kLanes);
+      LoadLanes(&x_id, c + kXId * kLanes);
+      // X (gap in b) from the cell above.
+      const V x_ext = x + ext;
+      const V x_open = m + oe;
+      const V x_extends = x_ext >= x_open;
+      const V xv = x_extends ? x_ext : x_open;
+      x_len = (x_extends ? x_len : m_len) + one;
+      x_id = x_extends ? x_id : m_id;
+      // M from the diagonal.
+      const V raw = diag + score;
+      const V grow = raw > zero;
+      const V mv = grow ? raw : zero;
+      m_len = (diag_len + one) & grow;
+      m_id = (diag_id + same) & grow;
+      // Y (gap in a) from the cell to the left.
+      const V y_ext = y_left + ext;
+      const V y_open = m_left + oe;
+      const V y_extends = y_ext >= y_open;
+      const V yv = y_extends ? y_ext : y_open;
+      const V y_len = (y_extends ? y_left_len : m_left_len) + one;
+      const V y_id = y_extends ? y_left_id : m_left_id;
+      const V xy = xv > yv ? xv : yv;
+      const V bv = mv > xy ? mv : xy;
+      const V from_m = mv == bv;
+      const V from_x = xv == bv;
+      const V bv_len = from_m ? m_len : (from_x ? x_len : y_len);
+      const V bv_id = from_m ? m_id : (from_x ? x_id : y_id);
+      LoadLanes(&diag, c + kBest * kLanes);
+      LoadLanes(&diag_len, c + kBestLen * kLanes);
+      LoadLanes(&diag_id, c + kBestId * kLanes);
+      StoreLanes(c + kM * kLanes, &mv);
+      StoreLanes(c + kX * kLanes, &xv);
+      StoreLanes(c + kBest * kLanes, &bv);
+      StoreLanes(c + kMLen * kLanes, &m_len);
+      StoreLanes(c + kMId * kLanes, &m_id);
+      StoreLanes(c + kXLen * kLanes, &x_len);
+      StoreLanes(c + kXId * kLanes, &x_id);
+      StoreLanes(c + kBestLen * kLanes, &bv_len);
+      StoreLanes(c + kBestId * kLanes, &bv_id);
+      m_left = mv;
+      m_left_len = m_len;
+      m_left_id = m_id;
+      y_left = yv;
+      y_left_len = y_len;
+      y_left_id = y_id;
+      const V higher = mv > best;
+      best = higher ? mv : best;
+      best_len = higher ? m_len : best_len;
+      best_id = higher ? m_id : best_id;
+    }
+  }
+  int16_t score[kLanes], length[kLanes], ids[kLanes];
+  StoreLanes(score, &best);
+  StoreLanes(length, &best_len);
+  StoreLanes(ids, &best_id);
+  for (size_t l = 0; l < pass.count; ++l) {
+    pass.out[l] = AlignmentStats{score[l], static_cast<size_t>(length[l]),
+                                 static_cast<size_t>(ids[l])};
+  }
+}
+
+// SSE2 is the x86-64 baseline; the 32-byte instance is compiled for AVX2
+// only (without it a 32-byte vector is emulated, slower than scalar) and
+// runs only where the CPU reports AVX2.
+void LaneStats8(const LanePass& pass) { LaneStatsPass<Lanes8>(pass); }
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void LaneStats16(const LanePass& pass) {
+  LaneStatsPass<Lanes16>(pass);
+}
+#endif
+
+// LocalAlignStats(rows[k], b) into out[k] for every k, `lanes` rows per
+// pass of the lane kernel. Rows of similar length share a pass, so little
+// of it is padding; rows outside the int16 bound take ScalarStats.
+Status StatsBlock(const ScoringProfile& profile,
+                  const SubstitutionMatrix& scoring,
+                  const std::vector<std::string_view>& rows,
+                  std::string_view b, const GapPenalties& gaps, size_t lanes,
+                  AlignScratch* scratch, AlignmentStats* out) {
+  std::vector<size_t> order;
+  const bool profile_fits = ProfileFitsLanes(profile, gaps);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k].empty() || b.empty()) {
+      out[k] = AlignmentStats();
+    } else if (profile_fits && RowFitsLanes(rows[k].size(), b.size(),
+                                            profile)) {
+      order.push_back(k);
+    } else {
+      static obs::Counter* scalar_rows =
+          obs::Registry::Global().GetCounter("align.kernel.lane_scalar_rows");
+      scalar_rows->Increment();
+      profile.Encode(rows[k], &scratch->codes_a);
+      profile.Encode(b, &scratch->codes_b);
+      GENALG_ASSIGN_OR_RETURN(
+          out[k], ScalarStats(profile, scoring, rows[k], b, gaps, scratch));
+    }
+  }
+  if (order.empty()) return Status::OK();
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return rows[x].size() < rows[y].size();
+  });
+  // Slot each column of b by its character.
+  std::array<int16_t, 256> slot_of_char;
+  slot_of_char.fill(-1);
+  std::vector<char> slot_char;
+  std::vector<uint8_t> slot_code;
+  std::vector<uint8_t>& slot_of_column = scratch->codes_b;
+  slot_of_column.resize(b.size());
+  for (size_t j = 0; j < b.size(); ++j) {
+    int16_t& slot = slot_of_char[static_cast<unsigned char>(b[j])];
+    if (slot < 0) {
+      slot = static_cast<int16_t>(slot_char.size());
+      slot_char.push_back(b[j]);
+      slot_code.push_back(profile.Code(b[j]));
+    }
+    slot_of_column[j] = static_cast<uint8_t>(slot);
+  }
+  scratch->lanes.resize((kLaneFields * b.size() + 2 * slot_char.size()) *
+                        lanes);
+  LanePass pass{&profile,
+                b,
+                slot_of_column.data(),
+                slot_char.data(),
+                slot_code.data(),
+                slot_char.size(),
+                nullptr,
+                0,
+                static_cast<int16_t>(gaps.open + gaps.extend),
+                static_cast<int16_t>(gaps.extend),
+                scratch->lanes.data(),
+                nullptr};
+  uint64_t cells = 0;
+  for (size_t first = 0; first < order.size(); first += lanes) {
+    std::string_view group[16];
+    AlignmentStats stats[16];
+    pass.count = std::min(lanes, order.size() - first);
+    for (size_t l = 0; l < pass.count; ++l) {
+      group[l] = rows[order[first + l]];
+      cells += group[l].size() * b.size();
+    }
+    pass.rows = group;
+    pass.out = stats;
+#if defined(__x86_64__) || defined(__i386__)
+    if (lanes == 16) {
+      LaneStats16(pass);
+    } else {
+      LaneStats8(pass);
+    }
+#else
+    LaneStats8(pass);
+#endif
+    for (size_t l = 0; l < pass.count; ++l) out[order[first + l]] = stats[l];
+  }
+  Metrics().cells->Add(cells);
+  return Status::OK();
+}
+
+// Verdicts `resembles` reaches without a kernel, into *hit; false if the
+// pair needs one. The full DP on an empty input yields the empty
+// alignment (length 0, identity 0); identity never exceeds 1; and a
+// qualifying alignment holds >= theta * min_overlap identity-match
+// columns, which cannot outnumber the shorter input.
+bool DecidedWithoutKernel(size_t n, size_t m, double min_identity,
+                          size_t min_overlap, bool* hit) {
+  *hit = false;
+  if (n == 0 || m == 0) {
+    *hit = min_overlap == 0 && min_identity <= 0.0;
+    return true;
+  }
+  if (min_identity > 1.0) return true;
+  const double theta = std::max(0.0, min_identity);
+  return theta > 0.0 && static_cast<double>(std::min(n, m)) <
+                            theta * static_cast<double>(min_overlap) - 1e-6;
+}
+
+SimilarityVerdict VerdictOf(const AlignmentStats& best, double min_identity,
+                            size_t min_overlap) {
+  SimilarityVerdict out;
+  if (best.length < min_overlap || best.Identity() < min_identity) {
+    return out;
+  }
+  out.hit = true;
+  out.identity = best.Identity();
+  out.score = best.score;
+  return out;
+}
+
+obs::Counter* ConfirmDps() {
+  static obs::Counter* confirm_dps =
+      obs::Registry::Global().GetCounter("align.resembles.confirm_dps");
+  return confirm_dps;
+}
+
 }  // namespace
+
+size_t StatsLanes() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const size_t lanes = __builtin_cpu_supports("avx2") ? 16 : 8;
+  return lanes;
+#else
+  return 8;
+#endif
+}
+
+Result<std::vector<AlignmentStats>> LocalAlignStatsBlock(
+    const std::vector<std::string_view>& rows, std::string_view b,
+    const SubstitutionMatrix& scoring, const GapPenalties& gaps,
+    size_t lanes, AlignScratch* scratch) {
+  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
+  if (lanes == 0) lanes = StatsLanes();
+  if (lanes != 8 && (lanes != 16 || StatsLanes() != 16)) {
+    return Status::InvalidArgument(
+        "lane count " + std::to_string(lanes) + " is not supported here");
+  }
+  AlignScratch local;
+  if (scratch == nullptr) scratch = &local;
+  const ScoringProfile profile(scoring);
+  std::vector<AlignmentStats> out(rows.size());
+  GENALG_RETURN_IF_ERROR(StatsBlock(profile, scoring, rows, b, gaps, lanes,
+                                    scratch, out.data()));
+  return out;
+}
+
+Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
+                                            std::string_view b,
+                                            double min_identity,
+                                            size_t min_overlap,
+                                            AlignScratch* scratch) {
+  SimilarityVerdict out;
+  if (DecidedWithoutKernel(a.size(), b.size(), min_identity, min_overlap,
+                           &out.hit)) {
+    return out;
+  }
+  const GapPenalties gaps;
+  const ScoringProfile& profile = ScoringProfile::NucleotideDefault();
+  profile.Encode(a, &scratch->codes_a);
+  profile.Encode(b, &scratch->codes_b);
+  const int64_t floor =
+      ResemblesScoreFloor(profile, gaps, min_identity, min_overlap,
+                          scratch->codes_a, scratch->codes_b);
+  if (floor == std::numeric_limits<int64_t>::max()) return out;
+  // The score-only screen (as LocalScoreReaches: every local score
+  // reaches a floor <= 0; past the int32 bound the screen is skipped,
+  // which is sound).
+  if (floor > 0 && FitsInt32(a.size(), b.size(), profile, gaps)) {
+    const bool a_outer = a.size() >= b.size();
+    bool reached = false;
+    LocalScoreCore(profile, a_outer ? scratch->codes_a : scratch->codes_b,
+                   a_outer ? scratch->codes_b : scratch->codes_a, gaps,
+                   scratch, &floor, &reached);
+    if (!reached) return out;  // Best score provably below the floor.
+  }
+  ConfirmDps()->Increment();
+  GENALG_ASSIGN_OR_RETURN(
+      AlignmentStats best,
+      ScalarStats(profile, SubstitutionMatrix::Nucleotide(), a, b, gaps,
+                  scratch));
+  return VerdictOf(best, min_identity, min_overlap);
+}
+
+Status ResemblesLanes(const std::vector<std::string_view>& rows,
+                      std::string_view b, double min_identity,
+                      size_t min_overlap, AlignScratch* scratch,
+                      std::vector<uint8_t>* hits) {
+  hits->assign(rows.size(), 0);
+  std::vector<std::string_view> pending;
+  std::vector<size_t> at;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    bool hit = false;
+    if (DecidedWithoutKernel(rows[k].size(), b.size(), min_identity,
+                             min_overlap, &hit)) {
+      (*hits)[k] = hit;
+      continue;
+    }
+    pending.push_back(rows[k]);
+    at.push_back(k);
+  }
+  ConfirmDps()->Add(pending.size());
+  std::vector<AlignmentStats> stats(pending.size());
+  GENALG_RETURN_IF_ERROR(StatsBlock(
+      ScoringProfile::NucleotideDefault(), SubstitutionMatrix::Nucleotide(),
+      pending, b, GapPenalties(), StatsLanes(), scratch, stats.data()));
+  for (size_t i = 0; i < pending.size(); ++i) {
+    (*hits)[at[i]] = VerdictOf(stats[i], min_identity, min_overlap).hit;
+  }
+  return Status::OK();
+}
 
 ScoringProfile::ScoringProfile(const SubstitutionMatrix& scoring) {
   width_ = scoring.NumClasses();
@@ -367,17 +796,10 @@ Result<AlignmentStats> LocalAlignStats(std::string_view a,
   if (a.empty() || b.empty()) return AlignmentStats();
   AlignScratch local;
   if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            LocalAlign(a, b, scoring, gaps, scratch));
-    return AlignmentStats{full.score, full.Length(), full.Identities()};
-  }
+  const ScoringProfile profile(scoring);
   profile.Encode(a, &scratch->codes_a);
   profile.Encode(b, &scratch->codes_b);
-  return LocalStatsCore(profile, a, b, scratch->codes_a, scratch->codes_b,
-                        gaps, scratch);
+  return ScalarStats(profile, scoring, a, b, gaps, scratch);
 }
 
 Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,

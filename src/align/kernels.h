@@ -41,6 +41,10 @@ struct AlignScratch {
   std::vector<StatsCell> stats_row;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
+  // The lane kernel's state: plain int16 cells, read and written with
+  // unaligned vector loads and stores, so no vector type ever lives in a
+  // std:: container.
+  std::vector<int16_t> lanes;
   // Full-DP int64 arena borrowed by the traceback aligners.
   std::vector<int64_t> full_dp;
 };
@@ -128,6 +132,57 @@ Result<AlignmentStats> LocalAlignStats(
     const SubstitutionMatrix& scoring,
     const GapPenalties& gaps = GapPenalties(),
     AlignScratch* scratch = nullptr);
+
+/// Rows the lane kernel of LocalAlignStatsBlock runs at once on this CPU:
+/// 16 int16 lanes with AVX2, else 8 (SSE2, the x86-64 baseline). Chosen
+/// once per process with __builtin_cpu_supports.
+size_t StatsLanes();
+
+/// LocalAlignStats(rows[k], b) for every k, bit-identical, from an
+/// inter-sequence kernel in the style of SWIPE (Rognes 2011): each int16
+/// lane of one vector runs one row `a` against the shared `b`, `lanes`
+/// rows per pass. `lanes` is 8 or 16 (16 needs AVX2), or 0 for
+/// StatsLanes(). A row outside the a-priori int16 bound (its score, or
+/// its length plus |b|, could pass about 16000) runs the scalar kernel.
+Result<std::vector<AlignmentStats>> LocalAlignStatsBlock(
+    const std::vector<std::string_view>& rows, std::string_view b,
+    const SubstitutionMatrix& scoring,
+    const GapPenalties& gaps = GapPenalties(), size_t lanes = 0,
+    AlignScratch* scratch = nullptr);
+
+/// One `resembles` verdict: whether the pair passed the (min_identity,
+/// min_overlap) predicate, and if so the identity and score of its best
+/// local alignment.
+struct SimilarityVerdict {
+  bool hit = false;
+  double identity = 0.0;
+  int64_t score = 0;
+};
+
+/// Decides the `resembles` predicate for one pair. The verdict is
+/// bit-identical to running the full local alignment and checking its
+/// length and identity; the kernels only change how cheaply it is
+/// reached:
+///   1. trivial rejects (empty inputs; shorter input cannot hold the
+///      identity matches the predicate demands);
+///   2. a score floor every qualifying alignment must reach, refuted in
+///      O(min(n, m)) memory by the early-terminating score-only kernel;
+///   3. pairs whose score clears the floor take one LocalAlignStats pass.
+/// Both inputs are class-coded once, for all three steps.
+Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
+                                            std::string_view b,
+                                            double min_identity,
+                                            size_t min_overlap,
+                                            AlignScratch* scratch);
+
+/// ResemblesScreened(rows[k], b).hit for every k, into `hits`: the same
+/// trivial rejects per row, then LocalAlignStatsBlock's lane kernel for
+/// the rest. The score-floor screen is skipped — it is sound, so it never
+/// changes a verdict, and it rejects nothing at the default predicate.
+Status ResemblesLanes(const std::vector<std::string_view>& rows,
+                      std::string_view b, double min_identity,
+                      size_t min_overlap, AlignScratch* scratch,
+                      std::vector<uint8_t>* hits);
 
 /// Thresholded local score with early termination: returns true iff
 /// LocalAlignScore(a, b) >= threshold, but stops filling rows as soon as

@@ -1,5 +1,7 @@
 #include "udb/adapter.h"
 
+#include <algorithm>
+
 #include "base/bytes.h"
 #include "gdt/entities.h"
 #include "seq/nucleotide_sequence.h"
@@ -81,6 +83,43 @@ Result<Datum> Adapter::Invoke(std::string_view op,
   GENALG_ASSIGN_OR_RETURN(algebra::Value result,
                           algebra_->Apply(op, values));
   return ToDatum(result);
+}
+
+Status Adapter::InvokeBlock(std::string_view op,
+                            const std::vector<std::vector<Datum>>& args,
+                            size_t rows, std::vector<Datum>* out) const {
+  // Lift row by row, as Invoke would: a failure at row r is reported
+  // after rows [0, r) are applied.
+  std::vector<std::vector<algebra::Value>> values(args.size());
+  Status lifted = Status::OK();
+  size_t ready = 0;
+  for (; ready < rows && lifted.ok(); ++ready) {
+    for (size_t k = 0; k < args.size() && lifted.ok(); ++k) {
+      const bool shared = args[k].size() == 1;
+      if (shared && ready > 0) continue;
+      Result<algebra::Value> v = ToValue(args[k][shared ? 0 : ready]);
+      if (v.ok()) {
+        values[k].push_back(std::move(*v));
+      } else {
+        lifted = v.status();
+      }
+    }
+  }
+  if (!lifted.ok()) {
+    --ready;  // Drop the failing row's partial tuple.
+    for (std::vector<algebra::Value>& column : values) {
+      column.resize(std::min(column.size(), ready));
+    }
+  }
+  std::vector<algebra::Value> results;
+  Status applied =
+      algebra_->ApplyBlock(op, std::move(values), ready, &results);
+  for (const algebra::Value& v : results) {
+    GENALG_ASSIGN_OR_RETURN(Datum d, ToDatum(v));
+    out->push_back(std::move(d));
+  }
+  GENALG_RETURN_IF_ERROR(applied);
+  return lifted;
 }
 
 namespace {

@@ -59,6 +59,18 @@ class Adapter {
   Result<Datum> Invoke(std::string_view op,
                        const std::vector<Datum>& args) const;
 
+  /// Invoke over a block of `rows` argument tuples (Sec. 6.3's external
+  /// functions, called once per block of the SQL filter instead of once
+  /// per row). args[k] holds argument k, one datum per row or one datum
+  /// every row shares, such as a constant. Appends one result per row to
+  /// `out`; results and the first error are those of Invoke row by row,
+  /// and on an error `out` holds the results of the rows before it. The
+  /// algebra resolves the overload once per block and runs its block form
+  /// if it has one (SignatureRegistry::ApplyBlock).
+  Status InvokeBlock(std::string_view op,
+                     const std::vector<std::vector<Datum>>& args, size_t rows,
+                     std::vector<Datum>* out) const;
+
   const algebra::SignatureRegistry& algebra() const { return *algebra_; }
 
  private:

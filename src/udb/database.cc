@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "base/strings.h"
@@ -50,6 +51,16 @@ bool ContainsAggregate(const Expr& e) {
   if (e.kind == Expr::Kind::kCall && IsAggregateName(e.func)) return true;
   for (const ExprPtr& arg : e.args) {
     if (ContainsAggregate(*arg)) return true;
+  }
+  return false;
+}
+
+// True iff the expression reads a column (else it is constant within a
+// statement).
+bool ReadsColumn(const Expr& e) {
+  if (e.kind == Expr::Kind::kColumn) return true;
+  for (const ExprPtr& arg : e.args) {
+    if (ReadsColumn(*arg)) return true;
   }
   return false;
 }
@@ -578,6 +589,7 @@ class Database::Executor {
           return Datum::Bool(!v);
         }
         GENALG_ASSIGN_OR_RETURN(Datum inner, Eval(*e.args[0], row, env));
+        if (inner.is_null()) return Datum::Null();
         if (inner.kind() == DatumKind::kInt) {
           return IntArithmetic("-", 0, *inner.AsInt());
         }
@@ -645,7 +657,8 @@ class Database::Executor {
                (op == ">" && c > 0) || (op == ">=" && c >= 0);
       return Datum::Bool(v);
     }
-    // Arithmetic. String '+' concatenates.
+    // Arithmetic: NULL in, NULL out. String '+' concatenates.
+    if (left.is_null() || right.is_null()) return Datum::Null();
     if (op == "+" && left.kind() == DatumKind::kString &&
         right.kind() == DatumKind::kString) {
       return Datum::String(*left.AsString() + *right.AsString());
@@ -1124,17 +1137,30 @@ class Database::Executor {
     }
     Block block;
     bool more = true;
+    std::vector<Constants> constants(conjuncts.size());
+    std::vector<uint8_t> keep;
     auto flush = [&]() -> Status {
       Lap(kScan);
       stage_rows_[kFilter] += block.rows.size();
       // Each conjunct runs over the whole block; the rows (and rids) it
-      // rejects leave before the next one runs.
-      for (const Expr* conjunct : conjuncts) {
+      // rejects leave before the next one runs. A top-level call goes to
+      // the algebra once for the block, anything else row by row.
+      for (size_t c = 0; c < conjuncts.size(); ++c) {
+        const Expr& conjunct = *conjuncts[c];
+        keep.assign(block.rows.size(), 0);
+        if (conjunct.kind == Expr::Kind::kCall &&
+            !IsAggregateName(conjunct.func)) {
+          GENALG_RETURN_IF_ERROR(
+              FilterCall(conjunct, block, env, &constants[c], &keep));
+        } else {
+          for (size_t i = 0; i < block.rows.size(); ++i) {
+            GENALG_ASSIGN_OR_RETURN(keep[i],
+                                    EvalBool(conjunct, block.rows[i], env));
+          }
+        }
         size_t kept = 0;
         for (size_t i = 0; i < block.rows.size(); ++i) {
-          GENALG_ASSIGN_OR_RETURN(bool keep,
-                                  EvalBool(*conjunct, block.rows[i], env));
-          if (!keep) continue;
+          if (!keep[i]) continue;
           if (kept != i) block.rows[kept] = std::move(block.rows[i]);
           block.rids[kept++] = block.rids[i];
         }
@@ -1170,6 +1196,62 @@ class Database::Executor {
     if (!more) return Status::OK();  // `scanned` is the sink's stop.
     GENALG_RETURN_IF_ERROR(scanned);
     return block.rows.empty() ? Status::OK() : flush();
+  }
+
+  // The values of a call's arguments that read no column, such as
+  // parse_dna('...'): each is evaluated on first use and reused for the
+  // rest of the statement.
+  using Constants = std::vector<std::optional<Result<Datum>>>;
+
+  // Filters a block by a top-level call conjunct: each row's arguments
+  // are evaluated in order as Eval does, a row with a NULL argument reads
+  // false without a call, and the other rows go to the algebra in one
+  // Adapter::InvokeBlock. Sets keep[i] for the rows that pass; the
+  // verdicts and the first error are those of EvalBool row by row.
+  Status FilterCall(const Expr& call, const Block& block, const Env& env,
+                    Constants* constants, std::vector<uint8_t>* keep) {
+    const size_t arity = call.args.size();
+    constants->resize(arity);
+    std::vector<std::vector<Datum>> args(arity);
+    std::vector<size_t> sent;
+    std::vector<Datum> tuple(arity);
+    Status evaluated = Status::OK();
+    for (size_t i = 0; i < block.rows.size() && evaluated.ok(); ++i) {
+      bool null = false;
+      for (size_t k = 0; k < arity && !null && evaluated.ok(); ++k) {
+        const Expr& arg = *call.args[k];
+        std::optional<Result<Datum>>& constant = (*constants)[k];
+        if (ReadsColumn(arg)) {
+          Result<Datum> d = Eval(arg, block.rows[i], env);
+          if (d.ok()) tuple[k] = std::move(*d);
+          evaluated = d.status();
+          null = d.ok() && tuple[k].is_null();
+          continue;
+        }
+        if (!constant) constant = EvalConst(arg);
+        evaluated = constant->status();
+        null = constant->ok() && (*constant)->is_null();
+      }
+      if (!evaluated.ok() || null) continue;
+      for (size_t k = 0; k < arity; ++k) {
+        const std::optional<Result<Datum>>& constant = (*constants)[k];
+        if (!constant) {
+          args[k].push_back(std::move(tuple[k]));
+        } else if (args[k].empty()) {
+          args[k].push_back(**constant);
+        }
+      }
+      sent.push_back(i);
+    }
+    std::vector<Datum> results;
+    Status invoked =
+        db_->adapter_->InvokeBlock(call.func, args, sent.size(), &results);
+    for (size_t r = 0; r < results.size(); ++r) {
+      if (results[r].is_null()) continue;
+      GENALG_ASSIGN_OR_RETURN((*keep)[sent[r]], results[r].AsBool());
+    }
+    GENALG_RETURN_IF_ERROR(invoked);
+    return evaluated;
   }
 
   // Steps `at` to the next combination of inner rows, the last table

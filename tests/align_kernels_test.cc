@@ -10,6 +10,7 @@
 #include "align/scoring.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
 
 namespace genalg::align {
@@ -240,6 +241,168 @@ TEST(KernelTest, LocalStatsMatchTracebackPropertySweep) {
       check(a, b, SubstitutionMatrix::Nucleotide(1, -1), gaps);
     }
   }
+}
+
+// ------------------------------------------------- Lane kernel == scalar.
+
+// LocalAlignStatsBlock at `lanes` lanes against LocalAlignStats on every
+// row: random DNA and IUPAC rows at block sizes around the lane counts,
+// then the tie-heavy pairs, every `a` of them against each `b`.
+void ExpectLanesMatchScalar(size_t lanes) {
+  Rng rng(2026);
+  AlignScratch scratch;
+  const auto check = [&](const std::vector<std::string>& rows,
+                         const std::string& b,
+                         const SubstitutionMatrix& scoring,
+                         const GapPenalties& gaps) {
+    const std::vector<std::string_view> views(rows.begin(), rows.end());
+    auto block =
+        LocalAlignStatsBlock(views, b, scoring, gaps, lanes, &scratch);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    ASSERT_EQ(block->size(), rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const AlignmentStats scalar =
+          LocalAlignStats(rows[k], b, scoring, gaps).value();
+      const AlignmentStats& lane = (*block)[k];
+      EXPECT_EQ(lane.score, scalar.score)
+          << "lanes=" << lanes << " a=" << rows[k] << " b=" << b
+          << " open=" << gaps.open << " extend=" << gaps.extend;
+      EXPECT_EQ(lane.length, scalar.length)
+          << "lanes=" << lanes << " a=" << rows[k] << " b=" << b;
+      EXPECT_EQ(lane.identities, scalar.identities)
+          << "lanes=" << lanes << " a=" << rows[k] << " b=" << b;
+    }
+  };
+  struct Case {
+    std::string_view alphabet;
+    const SubstitutionMatrix& scoring;
+  };
+  const Case cases[] = {
+      {kDna, SubstitutionMatrix::Nucleotide()},
+      {kDna, SubstitutionMatrix::Nucleotide(1, -1)},
+      {kIupac, SubstitutionMatrix::Nucleotide()},
+  };
+  for (const Case& c : cases) {
+    for (const GapPenalties& gaps : kGapGrid) {
+      for (size_t count : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
+        const std::string b = rng.RandomString(rng.Uniform(64), c.alphabet);
+        std::vector<std::string> rows;
+        for (size_t k = 0; k < count; ++k) {
+          rows.push_back(rng.RandomString(rng.Uniform(80), c.alphabet));
+        }
+        check(rows, b, c.scoring, gaps);
+      }
+    }
+  }
+  const std::vector<std::pair<std::string, std::string>> ties =
+      TieHeavyPairs(&rng);
+  std::vector<std::string> rows;
+  for (const auto& [a, b] : ties) rows.push_back(a);
+  for (const auto& [a, b] : ties) {
+    for (const GapPenalties& gaps : kGapGrid) {
+      check(rows, b, SubstitutionMatrix::Nucleotide(), gaps);
+      check(rows, b, SubstitutionMatrix::Nucleotide(1, -1), gaps);
+    }
+  }
+}
+
+TEST(KernelTest, LaneStatsMatchScalarSse2) { ExpectLanesMatchScalar(8); }
+
+TEST(KernelTest, LaneStatsMatchScalarAvx2) {
+  if (StatsLanes() != 16) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectLanesMatchScalar(16);
+}
+
+TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
+  Rng rng(2027);
+  obs::Counter* scalar_rows =
+      obs::Registry::Global().GetCounter("align.kernel.lane_scalar_rows");
+  const std::string b = rng.RandomDna(40);
+  std::string near = b;
+  near[7] = near[7] == 'A' ? 'C' : 'A';
+  // Rows of 16 001 bases pass |a| + |b| <= 16 000; a match score of 500
+  // lets 40 columns reach 20 000; a mismatch of -9000 puts the whole
+  // profile out of bounds.
+  const std::string long_row = rng.RandomDna(8000) + near +
+                               rng.RandomDna(8001 - near.size());
+  const std::vector<std::string> rows = {near, long_row, rng.RandomDna(50),
+                                         b, long_row.substr(0, 900)};
+  const std::vector<std::string_view> views(rows.begin(), rows.end());
+  struct Case {
+    SubstitutionMatrix scoring;
+    uint64_t scalar;
+  };
+  const Case cases[] = {
+      {SubstitutionMatrix::Nucleotide(), 1},
+      {SubstitutionMatrix::Nucleotide(500, -1), rows.size()},
+      {SubstitutionMatrix::Nucleotide(2, -9000), rows.size()},
+  };
+  for (size_t lanes : {size_t{8}, StatsLanes()}) {
+    for (const Case& c : cases) {
+      const uint64_t before = scalar_rows->value();
+      auto block = LocalAlignStatsBlock(views, b, c.scoring, GapPenalties(),
+                                        lanes);
+      ASSERT_TRUE(block.ok());
+      EXPECT_EQ(scalar_rows->value() - before, c.scalar);
+      for (size_t k = 0; k < rows.size(); ++k) {
+        const AlignmentStats scalar =
+            LocalAlignStats(rows[k], b, c.scoring).value();
+        EXPECT_EQ((*block)[k].score, scalar.score) << "row " << k;
+        EXPECT_EQ((*block)[k].length, scalar.length) << "row " << k;
+        EXPECT_EQ((*block)[k].identities, scalar.identities) << "row " << k;
+      }
+    }
+  }
+  // The long row's verdict through the block form equals the row form's.
+  auto pattern = NucleotideSequence::Dna(b).value();
+  auto row = NucleotideSequence::Dna(long_row).value();
+  EXPECT_EQ(ResemblesBlock(pattern, {&row}).value(),
+            std::vector<bool>{Resembles(row, pattern).value()});
+  EXPECT_FALSE(LocalAlignStatsBlock(views, b, SubstitutionMatrix::Nucleotide(),
+                                    GapPenalties(), 4)
+                   .ok());
+}
+
+TEST(KernelTest, ResemblesBlockMatchesResemblesPerRow) {
+  Rng rng(2028);
+  const std::string pattern_chars = rng.RandomDna(60);
+  std::vector<NucleotideSequence> store;
+  store.push_back(NucleotideSequence::Dna("").value());
+  store.push_back(NucleotideSequence::Dna("ACG").value());  // < 0.8 * 16.
+  for (int k = 0; k < 40; ++k) {
+    std::string s = rng.RandomDna(20 + rng.Uniform(200));
+    if (k % 2 == 0) {
+      // Embed a mutated copy of (part of) the pattern.
+      std::string copy = pattern_chars.substr(rng.Uniform(20));
+      for (char& ch : copy) {
+        if (rng.Bernoulli(0.1)) ch = rng.Pick("ACGTN");
+      }
+      s.insert(rng.Uniform(s.size()), copy);
+    }
+    store.push_back(NucleotideSequence::Dna(s).value());
+  }
+  std::vector<const NucleotideSequence*> rows;
+  for (const auto& s : store) rows.push_back(&s);
+  const auto empty = NucleotideSequence::Dna("").value();
+  const auto pattern = NucleotideSequence::Dna(pattern_chars).value();
+  for (const NucleotideSequence* b : {&pattern, &empty}) {
+    for (double min_identity : {0.0, 0.5, 0.8, 1.0}) {
+      for (size_t min_overlap : {size_t{0}, size_t{16}, size_t{64}}) {
+        auto block = ResemblesBlock(*b, rows, min_identity, min_overlap);
+        ASSERT_TRUE(block.ok());
+        ASSERT_EQ(block->size(), rows.size());
+        for (size_t k = 0; k < rows.size(); ++k) {
+          EXPECT_EQ((*block)[k],
+                    Resembles(*rows[k], *b, min_identity, min_overlap).value())
+              << "row " << k << " identity=" << min_identity
+              << " overlap=" << min_overlap;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ResemblesBlock(pattern, {}).value().empty());
+  EXPECT_FALSE(ResemblesBlock(pattern, rows, 1.5, 0).ok());
+  EXPECT_FALSE(ResemblesBlock(pattern, rows, -0.1, 0).ok());
 }
 
 // ----------------------------------------------------- Early termination.

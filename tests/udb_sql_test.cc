@@ -6,10 +6,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/signature.h"
+#include "align/aligner.h"
 #include "base/rng.h"
 #include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
@@ -1208,6 +1210,130 @@ TEST_F(SqlTest, StreamedSelectMatchesOracleAcrossBlockBoundaries) {
           << RenderRows(*result) << "vs oracle\n"
           << RenderRows(QueryResult{{}, c.expected, ""});
     }
+  }
+}
+
+TEST_F(SqlTest, NullArithmeticYieldsNull) {
+  MustExecute("CREATE TABLE t (id INT, a INT, r REAL)");
+  MustExecute("INSERT INTO t VALUES (1, 4, 1.0), (2, NULL, 2.0), "
+              "(3, 6, NULL)");
+  auto r = MustExecute(
+      "SELECT a + 1, a - 1, a * 2, a / 2, -a, r * 1.5, -r, a + r, "
+      "1 + NULL, NULL / 0 FROM t ORDER BY id");
+  ASSERT_EQ(r.rows.size(), 3u);
+  const std::vector<Row> want = {
+      {Datum::Int(5), Datum::Int(3), Datum::Int(8), Datum::Int(2),
+       Datum::Int(-4), Datum::Real(1.5), Datum::Real(-1.0), Datum::Real(5.0),
+       Datum::Null(), Datum::Null()},
+      {Datum::Null(), Datum::Null(), Datum::Null(), Datum::Null(),
+       Datum::Null(), Datum::Real(3.0), Datum::Real(-2.0), Datum::Null(),
+       Datum::Null(), Datum::Null()},
+      {Datum::Int(7), Datum::Int(5), Datum::Int(12), Datum::Int(3),
+       Datum::Int(-6), Datum::Null(), Datum::Null(), Datum::Null(),
+       Datum::Null(), Datum::Null()},
+  };
+  EXPECT_TRUE(r.rows == want) << RenderRows(r);
+  // Aggregates skip the NULLs an expression produces.
+  auto sums = MustExecute(
+      "SELECT sum(a * 1.5), avg(a * 1.5), sum(-a), avg(r + a), "
+      "count(a - 1) FROM t");
+  ASSERT_EQ(sums.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(sums.rows[0][0].AsReal().value(), 15.0);
+  EXPECT_DOUBLE_EQ(sums.rows[0][1].AsReal().value(), 7.5);
+  EXPECT_EQ(sums.rows[0][2].AsInt().value(), -10);
+  EXPECT_DOUBLE_EQ(sums.rows[0][3].AsReal().value(), 5.0);
+  EXPECT_EQ(sums.rows[0][4].AsInt().value(), 2);
+  // A NULL comparison still reads false in WHERE.
+  auto filtered = MustExecute("SELECT id FROM t WHERE a * 2 > 0");
+  EXPECT_EQ(filtered.rows.size(), 2u);
+}
+
+// Every `resembles` verdict the block filter reaches, against
+// align::Resembles on each row: tables around the block and lane sizes,
+// rows of mixed lengths, some NULL cells.
+TEST_F(SqlTest, BlockFilterMatchesRowOracle) {
+  Rng rng(1401);
+  const std::string pattern = rng.RandomDna(48);
+  const auto pattern_seq = NucleotideSequence::Dna(pattern).value();
+  for (size_t n : {0, 1, 7, 16, 17, 255, 256, 257}) {
+    SCOPED_TRACE(std::to_string(n) + " rows");
+    Database db(adapter_.get());
+    ASSERT_TRUE(
+        db.Execute("CREATE TABLE t (id INT, seq NUCSEQ, probe NUCSEQ)").ok());
+    std::vector<std::optional<NucleotideSequence>> seqs, probes;
+    for (size_t i = 0; i < n; ++i) {
+      std::string dna = rng.RandomDna(1 + rng.Uniform(400));
+      if (rng.Bernoulli(0.4)) {
+        std::string copy = pattern.substr(rng.Uniform(24));
+        for (char& c : copy) {
+          if (rng.Bernoulli(0.08)) c = rng.Pick("ACGTN");
+        }
+        dna.insert(rng.Uniform(dna.size()), copy);
+      }
+      seqs.push_back(std::nullopt);
+      probes.push_back(std::nullopt);
+      if (!rng.Bernoulli(0.1)) {
+        seqs.back() = NucleotideSequence::Dna(dna).value();
+      }
+      if (!rng.Bernoulli(0.1)) {
+        probes.back() =
+            NucleotideSequence::Dna(dna.substr(rng.Uniform(dna.size()))).value();
+      }
+      const auto cell = [&](const std::optional<NucleotideSequence>& s) {
+        return s ? adapter_->ToDatum(algebra::Value::NucSeq(*s)).value()
+                 : Datum::Null();
+      };
+      ASSERT_TRUE(db.InsertRow("t", {Datum::Int(static_cast<int64_t>(i)),
+                                     cell(seqs.back()), cell(probes.back())})
+                      .ok());
+    }
+    struct Case {
+      std::string where;
+      std::function<bool(size_t)> oracle;
+    };
+    const auto resembles = [&](size_t i, const NucleotideSequence& b,
+                               double min_identity) {
+      return seqs[i] && align::Resembles(*seqs[i], b, min_identity).value();
+    };
+    const std::string p = "parse_dna('" + pattern + "')";
+    const Case cases[] = {
+        {"resembles(seq, " + p + ")",
+         [&](size_t i) { return resembles(i, pattern_seq, 0.8); }},
+        {"resembles(seq, " + p + ", 0.9)",
+         [&](size_t i) { return resembles(i, pattern_seq, 0.9); }},
+        {"NOT resembles(seq, " + p + ")",
+         [&](size_t i) { return !resembles(i, pattern_seq, 0.8); }},
+        {"id >= 5 AND resembles(seq, " + p + ")",
+         [&](size_t i) { return i >= 5 && resembles(i, pattern_seq, 0.8); }},
+        {"resembles(seq, probe)",
+         [&](size_t i) { return probes[i] && resembles(i, *probes[i], 0.8); }},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.where);
+      auto result = db.Execute("SELECT id FROM t WHERE " + c.where);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(db.last_rows_scanned(), n);
+      std::vector<Row> want;
+      for (size_t i = 0; i < n; ++i) {
+        if (c.oracle(i)) want.push_back({Datum::Int(static_cast<int64_t>(i))});
+      }
+      EXPECT_TRUE(result->rows == want) << RenderRows(*result);
+      if (n >= 16) {  // Both verdicts occur.
+        EXPECT_GT(want.size(), 0u);
+        EXPECT_LT(want.size(), n);
+      }
+    }
+    // An invalid pattern fails as the row path fails on it, once a row
+    // needs it; a table with no such row answers without it.
+    auto bad = db.Execute("SELECT id FROM t WHERE resembles(seq, "
+                          "parse_dna('AC!GT'))");
+    auto bad_row = db.Execute("SELECT id FROM t WHERE NOT resembles(seq, "
+                              "parse_dna('AC!GT'))");
+    EXPECT_EQ(bad.ok(), bad_row.ok());
+    EXPECT_EQ(bad.status().ToString(), bad_row.status().ToString());
+    bool any_seq = false;
+    for (const auto& s : seqs) any_seq = any_seq || s.has_value();
+    EXPECT_EQ(bad.ok(), !any_seq);
   }
 }
 
