@@ -14,10 +14,11 @@
 // The lane rows time the stats pass the way the SQL filter runs it: 120
 // rows of 300-700 bp against one mutated 40 or 200 bp pattern, scalar
 // LocalAlignStats row by row against LocalAlignStatsBlock's 8-lane (SSE2)
-// and, where the CPU has AVX2, 16-lane kernel, on one thread. Each lane
-// width is checked against scalar before it is timed; the JSON records
-// the median and IQR of pairs/s over the reps, the ISA the dispatch picks,
-// nproc and the compiler.
+// kernel and, where the CPU has them, its 16-lane (AVX2) and 32-lane
+// (AVX-512BW) kernels, on one thread. Each lane width is checked against
+// scalar before it is timed, and the widths checked are printed; the
+// JSON records the median and IQR of pairs/s over the reps, the ISA the
+// dispatch picks, nproc and the compiler.
 
 #include <algorithm>
 #include <chrono>
@@ -264,6 +265,8 @@ struct LaneResult {
   Spread scalar;  // Pairs per second.
   Spread lanes8;
   Spread lanes16;  // Zero when the CPU has no AVX2.
+  Spread lanes32;  // Zero when the CPU has no AVX-512BW.
+  std::string verified;  // The lane widths checked against scalar.
 };
 
 LaneResult RunLanes(size_t pattern_length) {
@@ -320,11 +323,11 @@ LaneResult RunLanes(size_t pattern_length) {
       }
     }
   });
-  for (size_t lanes : {8, 16}) {
-    if (lanes > align::StatsLanes()) continue;
+  for (size_t lanes = 8; lanes <= align::StatsLanes(); lanes *= 2) {
     check(align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
                                       &scratch)
               .value());
+    out.verified += (out.verified.empty() ? "" : ",") + std::to_string(lanes);
     const Spread spread = pairs_per_s([&] {
       if (align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
                                       &scratch)
@@ -332,7 +335,8 @@ LaneResult RunLanes(size_t pattern_length) {
         std::abort();
       }
     });
-    (lanes == 8 ? out.lanes8 : out.lanes16) = spread;
+    (lanes == 8 ? out.lanes8 : lanes == 16 ? out.lanes16 : out.lanes32) =
+        spread;
   }
   return out;
 }
@@ -389,10 +393,12 @@ int main(int argc, char** argv) {
   for (const LaneResult& l : lanes) {
     std::printf(
         "lanes[%zu bp x %zu rows] pairs/s: scalar=%.0f sse2=%.0f (%.1fx) "
-        "avx2=%.0f (%.1fx)\n",
+        "avx2=%.0f (%.1fx) avx512bw=%.0f (%.1fx); lane widths verified "
+        "against scalar: %s\n",
         l.pattern_length, l.rows, l.scalar.median, l.lanes8.median,
         l.lanes8.median / l.scalar.median, l.lanes16.median,
-        l.lanes16.median / l.scalar.median);
+        l.lanes16.median / l.scalar.median, l.lanes32.median,
+        l.lanes32.median / l.scalar.median, l.verified.c_str());
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -439,7 +445,9 @@ int main(int argc, char** argv) {
                "  \"machine\": {\"nproc\": %u, \"compiler\": \"%s\", "
                "\"lane_isa\": \"%s\"},\n",
                std::thread::hardware_concurrency(), kCompiler,
-               genalg::align::StatsLanes() == 16 ? "avx2" : "sse2");
+               genalg::align::StatsLanes() == 32   ? "avx512bw"
+               : genalg::align::StatsLanes() == 16 ? "avx2"
+                                                   : "sse2");
   std::fprintf(out, "  \"lanes\": [\n");
   for (size_t i = 0; i < 2; ++i) {
     const LaneResult& l = lanes[i];
@@ -449,9 +457,12 @@ int main(int argc, char** argv) {
         "\"300-700\", \"reps\": 15, "
         "\"scalar_pairs_per_s\": %.0f, \"scalar_iqr\": %.0f, "
         "\"sse2_pairs_per_s\": %.0f, \"sse2_iqr\": %.0f, "
-        "\"avx2_pairs_per_s\": %.0f, \"avx2_iqr\": %.0f}%s\n",
+        "\"avx2_pairs_per_s\": %.0f, \"avx2_iqr\": %.0f, "
+        "\"avx512bw_pairs_per_s\": %.0f, \"avx512bw_iqr\": %.0f, "
+        "\"verified_lanes\": [%s]}%s\n",
         l.pattern_length, l.rows, l.scalar.median, l.scalar.iqr,
         l.lanes8.median, l.lanes8.iqr, l.lanes16.median, l.lanes16.iqr,
+        l.lanes32.median, l.lanes32.iqr, l.verified.c_str(),
         i + 1 < 2 ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

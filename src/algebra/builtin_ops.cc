@@ -52,13 +52,14 @@ Status ResemblesBlockForm(const std::vector<std::vector<Value>>& args,
     lanes[r] = a.NucSeqOrNull();
     if (lanes[r] == nullptr) return a.AsNucSeq().status();
   }
-  GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1][0].AsNucSeq());
+  const NucleotideSequence* b = args[1][0].NucSeqOrNull();
+  if (b == nullptr) return args[1][0].AsNucSeq().status();
   double min_identity = 0.8;
   if (args.size() > 2) {
     GENALG_ASSIGN_OR_RETURN(min_identity, args[2][0].AsReal());
   }
   GENALG_ASSIGN_OR_RETURN(std::vector<bool> hits,
-                          align::ResemblesBlock(b, lanes, min_identity));
+                          align::ResemblesBlock(*b, lanes, min_identity));
   for (bool hit : hits) out->push_back(Value::Bool(hit));
   return Status::OK();
 }
@@ -259,11 +260,13 @@ Status RegisterStandardAlgebra(SignatureRegistry* registry) {
   GENALG_RETURN_IF_ERROR(registry->RegisterOperator(
       {"align_score", {S(kSortNucSeq), S(kSortNucSeq)}, S(kSortInt)},
       [](const std::vector<Value>& args) -> Result<Value> {
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence a, args[0].AsNucSeq());
-        GENALG_ASSIGN_OR_RETURN(NucleotideSequence b, args[1].AsNucSeq());
+        const NucleotideSequence* a = args[0].NucSeqOrNull();
+        if (a == nullptr) return args[0].AsNucSeq().status();
+        const NucleotideSequence* b = args[1].NucSeqOrNull();
+        if (b == nullptr) return args[1].AsNucSeq().status();
         GENALG_ASSIGN_OR_RETURN(
             int64_t score,
-            align::LocalAlignScore(a.ToString(), b.ToString(),
+            align::LocalAlignScore(a->ToString(), b->ToString(),
                                    align::SubstitutionMatrix::Nucleotide()));
         return Value::Int(score);
       },

@@ -340,16 +340,9 @@ Result<std::vector<bool>> ResemblesBlock(
     return Status::InvalidArgument("min_identity must be in [0, 1]");
   }
   thread_local AlignScratch scratch;
-  const std::string chars_b = b.ToString();
-  std::vector<std::string> chars;
-  chars.reserve(rows.size());
-  for (const seq::NucleotideSequence* row : rows) {
-    chars.push_back(row->ToString());
-  }
   std::vector<uint8_t> hits;
-  GENALG_RETURN_IF_ERROR(ResemblesLanes(
-      std::vector<std::string_view>(chars.begin(), chars.end()), chars_b,
-      min_identity, min_overlap, &scratch, &hits));
+  GENALG_RETURN_IF_ERROR(ResemblesLanes(rows, b.ToString(), min_identity,
+                                        min_overlap, &scratch, &hits));
   return std::vector<bool>(hits.begin(), hits.end());
 }
 

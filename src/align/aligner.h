@@ -123,9 +123,9 @@ Result<bool> Resembles(const seq::NucleotideSequence& a,
 
 /// Resembles(*rows[k], b, min_identity, min_overlap) for every k, the
 /// verdicts bit-identical, from the lane kernel (kernels.h): one shared
-/// pattern `b` against up to 8 (SSE2) or 16 (AVX2) rows per pass. The
-/// block form of the SQL operator, which udb's filter calls once per row
-/// block. Runs on the calling thread.
+/// pattern `b` against up to 8 (SSE2), 16 (AVX2) or 32 (AVX-512BW) rows
+/// per pass. The block form of the SQL operator, which udb's filter calls
+/// once per row block. Runs on the calling thread.
 Result<std::vector<bool>> ResemblesBlock(
     const seq::NucleotideSequence& b,
     const std::vector<const seq::NucleotideSequence*>& rows,

@@ -298,7 +298,7 @@ Result<AlignmentStats> ScalarStats(const ScoringProfile& profile,
 
 // ------------------------------------------------------------ Lane kernel.
 //
-// LocalStatsCore for up to 8 or 16 rows at once: lane l of every vector
+// LocalStatsCore for up to 8, 16 or 32 rows at once: lane l of every vector
 // runs row a_l against the shared columns of b, so each lane keeps the
 // scalar kernel's row-major tie order exactly. The cells are int16: the
 // M, X and best(M, X, Y) scores, and for each of those three paths its
@@ -332,6 +332,8 @@ bool RowFitsLanes(size_t n, size_t m, const ScoringProfile& profile) {
 
 typedef int16_t Lanes8 __attribute__((vector_size(16)));
 typedef int16_t Lanes16 __attribute__((vector_size(32)));
+typedef int16_t Lanes32 __attribute__((vector_size(64)));
+constexpr size_t kMaxLanes = 32;
 
 // Per column of b, the previous row's cells: M, X and best scores, then
 // the length and identity count of each one's path.
@@ -481,13 +483,18 @@ template <typename V>
 }
 
 // SSE2 is the x86-64 baseline; the 32-byte instance is compiled for AVX2
-// only (without it a 32-byte vector is emulated, slower than scalar) and
-// runs only where the CPU reports AVX2.
+// and the 64-byte one for AVX-512BW only (without them a wide vector is
+// emulated, slower than scalar), and each runs only where the CPU reports
+// its ISA.
 void LaneStats8(const LanePass& pass) { LaneStatsPass<Lanes8>(pass); }
 
 #if defined(__x86_64__) || defined(__i386__)
 __attribute__((target("avx2"))) void LaneStats16(const LanePass& pass) {
   LaneStatsPass<Lanes16>(pass);
+}
+
+__attribute__((target("avx512bw"))) void LaneStats32(const LanePass& pass) {
+  LaneStatsPass<Lanes32>(pass);
 }
 #endif
 
@@ -553,8 +560,8 @@ Status StatsBlock(const ScoringProfile& profile,
                 nullptr};
   uint64_t cells = 0;
   for (size_t first = 0; first < order.size(); first += lanes) {
-    std::string_view group[16];
-    AlignmentStats stats[16];
+    std::string_view group[kMaxLanes];
+    AlignmentStats stats[kMaxLanes];
     pass.count = std::min(lanes, order.size() - first);
     for (size_t l = 0; l < pass.count; ++l) {
       group[l] = rows[order[first + l]];
@@ -563,7 +570,9 @@ Status StatsBlock(const ScoringProfile& profile,
     pass.rows = group;
     pass.out = stats;
 #if defined(__x86_64__) || defined(__i386__)
-    if (lanes == 16) {
+    if (lanes == 32) {
+      LaneStats32(pass);
+    } else if (lanes == 16) {
       LaneStats16(pass);
     } else {
       LaneStats8(pass);
@@ -617,7 +626,9 @@ obs::Counter* ConfirmDps() {
 
 size_t StatsLanes() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const size_t lanes = __builtin_cpu_supports("avx2") ? 16 : 8;
+  static const size_t lanes = __builtin_cpu_supports("avx512bw") ? 32
+                              : __builtin_cpu_supports("avx2")   ? 16
+                                                                 : 8;
   return lanes;
 #else
   return 8;
@@ -630,7 +641,7 @@ Result<std::vector<AlignmentStats>> LocalAlignStatsBlock(
     size_t lanes, AlignScratch* scratch) {
   GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
   if (lanes == 0) lanes = StatsLanes();
-  if (lanes != 8 && (lanes != 16 || StatsLanes() != 16)) {
+  if ((lanes != 8 && lanes != 16 && lanes != 32) || lanes > StatsLanes()) {
     return Status::InvalidArgument(
         "lane count " + std::to_string(lanes) + " is not supported here");
   }
@@ -680,22 +691,30 @@ Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
   return VerdictOf(best, min_identity, min_overlap);
 }
 
-Status ResemblesLanes(const std::vector<std::string_view>& rows,
+Status ResemblesLanes(const std::vector<const seq::NucleotideSequence*>& rows,
                       std::string_view b, double min_identity,
                       size_t min_overlap, AlignScratch* scratch,
                       std::vector<uint8_t>* hits) {
   hits->assign(rows.size(), 0);
-  std::vector<std::string_view> pending;
   std::vector<size_t> at;
+  scratch->rows.clear();
   for (size_t k = 0; k < rows.size(); ++k) {
     bool hit = false;
-    if (DecidedWithoutKernel(rows[k].size(), b.size(), min_identity,
+    if (DecidedWithoutKernel(rows[k]->size(), b.size(), min_identity,
                              min_overlap, &hit)) {
       (*hits)[k] = hit;
       continue;
     }
-    pending.push_back(rows[k]);
+    rows[k]->AppendTo(&scratch->rows);
     at.push_back(k);
+  }
+  // Views into scratch->rows, taken once it has stopped growing.
+  std::vector<std::string_view> pending;
+  pending.reserve(at.size());
+  const char* next = scratch->rows.data();
+  for (size_t k : at) {
+    pending.emplace_back(next, rows[k]->size());
+    next += rows[k]->size();
   }
   ConfirmDps()->Add(pending.size());
   std::vector<AlignmentStats> stats(pending.size());

@@ -9,6 +9,7 @@
 
 #include "align/scoring.h"
 #include "base/result.h"
+#include "seq/nucleotide_sequence.h"
 
 namespace genalg::align {
 
@@ -45,6 +46,8 @@ struct AlignScratch {
   // unaligned vector loads and stores, so no vector type ever lives in a
   // std:: container.
   std::vector<int16_t> lanes;
+  // The rows ResemblesLanes decodes for the lane kernel, back to back.
+  std::string rows;
   // Full-DP int64 arena borrowed by the traceback aligners.
   std::vector<int64_t> full_dp;
 };
@@ -134,16 +137,17 @@ Result<AlignmentStats> LocalAlignStats(
     AlignScratch* scratch = nullptr);
 
 /// Rows the lane kernel of LocalAlignStatsBlock runs at once on this CPU:
-/// 16 int16 lanes with AVX2, else 8 (SSE2, the x86-64 baseline). Chosen
-/// once per process with __builtin_cpu_supports.
+/// 32 int16 lanes with AVX-512BW, 16 with AVX2, else 8 (SSE2, the x86-64
+/// baseline). Chosen once per process with __builtin_cpu_supports.
 size_t StatsLanes();
 
 /// LocalAlignStats(rows[k], b) for every k, bit-identical, from an
 /// inter-sequence kernel in the style of SWIPE (Rognes 2011): each int16
 /// lane of one vector runs one row `a` against the shared `b`, `lanes`
-/// rows per pass. `lanes` is 8 or 16 (16 needs AVX2), or 0 for
-/// StatsLanes(). A row outside the a-priori int16 bound (its score, or
-/// its length plus |b|, could pass about 16000) runs the scalar kernel.
+/// rows per pass. `lanes` is 8, 16 (needs AVX2) or 32 (needs AVX-512BW),
+/// or 0 for StatsLanes(). A row outside the a-priori int16 bound (its
+/// score, or its length plus |b|, could pass about 16000) runs the scalar
+/// kernel.
 Result<std::vector<AlignmentStats>> LocalAlignStatsBlock(
     const std::vector<std::string_view>& rows, std::string_view b,
     const SubstitutionMatrix& scoring,
@@ -175,11 +179,13 @@ Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
                                             size_t min_overlap,
                                             AlignScratch* scratch);
 
-/// ResemblesScreened(rows[k], b).hit for every k, into `hits`: the same
-/// trivial rejects per row, then LocalAlignStatsBlock's lane kernel for
-/// the rest. The score-floor screen is skipped — it is sound, so it never
-/// changes a verdict, and it rejects nothing at the default predicate.
-Status ResemblesLanes(const std::vector<std::string_view>& rows,
+/// ResemblesScreened(rows[k]->ToString(), b).hit for every k, into
+/// `hits`: the same trivial rejects per row, then LocalAlignStatsBlock's
+/// lane kernel for the rest, which alone are decoded (into
+/// scratch->rows). The score-floor screen is skipped — it is sound, so it
+/// never changes a verdict, and it rejects nothing at the default
+/// predicate.
+Status ResemblesLanes(const std::vector<const seq::NucleotideSequence*>& rows,
                       std::string_view b, double min_identity,
                       size_t min_overlap, AlignScratch* scratch,
                       std::vector<uint8_t>* hits);

@@ -4,85 +4,6 @@
 
 namespace genalg::seq {
 
-namespace {
-
-// IUPAC nucleotide letters and their base sets.
-struct IupacEntry {
-  char letter;
-  BaseCode code;
-};
-
-constexpr IupacEntry kIupacTable[] = {
-    {'A', kBaseA},
-    {'C', kBaseC},
-    {'G', kBaseG},
-    {'T', kBaseT},
-    {'U', kBaseT},  // RNA uracil shares the T bit.
-    {'R', kBaseA | kBaseG},
-    {'Y', kBaseC | kBaseT},
-    {'S', kBaseC | kBaseG},
-    {'W', kBaseA | kBaseT},
-    {'K', kBaseG | kBaseT},
-    {'M', kBaseA | kBaseC},
-    {'B', kBaseC | kBaseG | kBaseT},
-    {'D', kBaseA | kBaseG | kBaseT},
-    {'H', kBaseA | kBaseC | kBaseT},
-    {'V', kBaseA | kBaseC | kBaseG},
-    {'N', kBaseN},
-    {'-', kBaseGap},
-    {'.', kBaseGap},
-};
-
-}  // namespace
-
-bool CharToBase(char c, BaseCode* out) {
-  char up = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  for (const IupacEntry& e : kIupacTable) {
-    if (e.letter == up) {
-      *out = e.code;
-      return true;
-    }
-  }
-  return false;
-}
-
-char BaseToChar(BaseCode code, Alphabet alphabet) {
-  switch (code & 0xF) {
-    case kBaseGap:
-      return '-';
-    case kBaseA:
-      return 'A';
-    case kBaseC:
-      return 'C';
-    case kBaseG:
-      return 'G';
-    case kBaseT:
-      return alphabet == Alphabet::kRna ? 'U' : 'T';
-    case kBaseA | kBaseG:
-      return 'R';
-    case kBaseC | kBaseT:
-      return 'Y';
-    case kBaseC | kBaseG:
-      return 'S';
-    case kBaseA | kBaseT:
-      return 'W';
-    case kBaseG | kBaseT:
-      return 'K';
-    case kBaseA | kBaseC:
-      return 'M';
-    case kBaseC | kBaseG | kBaseT:
-      return 'B';
-    case kBaseA | kBaseG | kBaseT:
-      return 'D';
-    case kBaseA | kBaseC | kBaseT:
-      return 'H';
-    case kBaseA | kBaseC | kBaseG:
-      return 'V';
-    default:
-      return 'N';
-  }
-}
-
 bool IsAminoAcidChar(char c) {
   char up = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return kAminoAcidChars.find(up) != std::string_view::npos;

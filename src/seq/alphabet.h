@@ -1,6 +1,7 @@
 #ifndef GENALG_SEQ_ALPHABET_H_
 #define GENALG_SEQ_ALPHABET_H_
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -29,15 +30,78 @@ inline constexpr BaseCode kBaseT = 0x8;  ///< U in the RNA alphabet.
 inline constexpr BaseCode kBaseN = 0xF;
 inline constexpr BaseCode kBaseGap = 0x0;
 
+namespace alphabet_internal {
+
+inline constexpr uint8_t kNotABase = 0xFF;
+
+struct IupacEntry {
+  char letter;
+  BaseCode code;
+};
+
+inline constexpr IupacEntry kIupacLetters[] = {
+    {'A', kBaseA},
+    {'C', kBaseC},
+    {'G', kBaseG},
+    {'T', kBaseT},
+    {'U', kBaseT},  // RNA uracil shares the T bit.
+    {'R', kBaseA | kBaseG},
+    {'Y', kBaseC | kBaseT},
+    {'S', kBaseC | kBaseG},
+    {'W', kBaseA | kBaseT},
+    {'K', kBaseG | kBaseT},
+    {'M', kBaseA | kBaseC},
+    {'B', kBaseC | kBaseG | kBaseT},
+    {'D', kBaseA | kBaseG | kBaseT},
+    {'H', kBaseA | kBaseC | kBaseT},
+    {'V', kBaseA | kBaseC | kBaseG},
+    {'N', kBaseN},
+};
+
+constexpr std::array<uint8_t, 256> BaseOfCharTable() {
+  std::array<uint8_t, 256> table{};
+  table.fill(kNotABase);
+  for (const IupacEntry& e : kIupacLetters) {
+    const auto upper = static_cast<unsigned char>(e.letter);
+    table[upper] = e.code;
+    table[upper | 0x20] = e.code;  // Lowercase.
+  }
+  table['-'] = kBaseGap;
+  table['.'] = kBaseGap;
+  return table;
+}
+
+// Every byte's base set as an IUPAC character, either case ('U' onto the
+// T bit, '-' and '.' as gaps), or kNotABase.
+inline constexpr std::array<uint8_t, 256> kBaseOfChar = BaseOfCharTable();
+
+// The canonical character of every base set, indexed by code, for DNA
+// and for RNA.
+inline constexpr char kDnaChars[] = "-ACMGRSVTWYHKDBN";
+inline constexpr char kRnaChars[] = "-ACMGRSVUWYHKDBN";
+
+}  // namespace alphabet_internal
+
 /// Encodes an IUPAC character (case-insensitive; 'U' accepted for RNA and
 /// mapped onto the T bit). Returns false for characters outside the IUPAC
 /// nucleotide set.
-bool CharToBase(char c, BaseCode* out);
+constexpr bool CharToBase(char c, BaseCode* out) {
+  const uint8_t code =
+      alphabet_internal::kBaseOfChar[static_cast<unsigned char>(c)];
+  if (code == alphabet_internal::kNotABase) return false;
+  *out = code;
+  return true;
+}
 
 /// Decodes a BaseCode to its canonical uppercase IUPAC character; the
 /// alphabet selects 'T' vs 'U' for code 0x8 and for ambiguity codes the
 /// standard IUPAC letter (R, Y, S, W, K, M, B, D, H, V, N) or '-' for gap.
-char BaseToChar(BaseCode code, Alphabet alphabet);
+constexpr char BaseToChar(BaseCode code, Alphabet alphabet) {
+  const char* chars = alphabet == Alphabet::kRna
+                          ? alphabet_internal::kRnaChars
+                          : alphabet_internal::kDnaChars;
+  return chars[code & 0xF];
+}
 
 /// Watson-Crick complement as a set operation: A<->T, C<->G, so the bit
 /// pattern is reversed. Works for every ambiguity code (complement of R is

@@ -1,21 +1,44 @@
 #include "seq/nucleotide_sequence.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 namespace genalg::seq {
+
+namespace {
+
+// Both characters of every packed byte (low nibble first), per alphabet:
+// ToString decodes two bases with one load.
+using CharPairs = std::array<std::array<char, 2>, 256>;
+
+constexpr CharPairs CharPairTable(Alphabet alphabet) {
+  CharPairs table{};
+  for (size_t byte = 0; byte < 256; ++byte) {
+    table[byte] = {BaseToChar(static_cast<BaseCode>(byte & 0xF), alphabet),
+                   BaseToChar(static_cast<BaseCode>(byte >> 4), alphabet)};
+  }
+  return table;
+}
+
+constexpr CharPairs kDnaPairs = CharPairTable(Alphabet::kDna);
+constexpr CharPairs kRnaPairs = CharPairTable(Alphabet::kRna);
+
+}  // namespace
 
 Result<NucleotideSequence> NucleotideSequence::FromString(
     std::string_view text, Alphabet alphabet) {
   NucleotideSequence s(alphabet);
-  s.data_.reserve((text.size() + 1) / 2);
+  s.size_ = text.size();
+  s.data_.resize((text.size() + 1) / 2);
   for (size_t i = 0; i < text.size(); ++i) {
-    BaseCode code;
+    BaseCode code = 0;
     if (!CharToBase(text[i], &code)) {
       return Status::InvalidArgument(
           std::string("invalid nucleotide character '") + text[i] +
           "' at position " + std::to_string(i));
     }
-    s.Append(code);
+    s.data_[i >> 1] |= static_cast<uint8_t>(code << ((i & 1) * 4));
   }
   return s;
 }
@@ -61,10 +84,22 @@ Status NucleotideSequence::Concat(const NucleotideSequence& other) {
   return Status::OK();
 }
 
+void NucleotideSequence::AppendTo(std::string* out) const {
+  const CharPairs& pairs =
+      alphabet_ == Alphabet::kRna ? kRnaPairs : kDnaPairs;
+  const size_t at = out->size();
+  out->resize(at + size_);
+  char* chars = out->data() + at;
+  const size_t whole = size_ / 2;
+  for (size_t k = 0; k < whole; ++k) {
+    std::memcpy(chars + 2 * k, pairs[data_[k]].data(), 2);
+  }
+  if (size_ & 1) chars[size_ - 1] = pairs[data_[whole]][0];
+}
+
 std::string NucleotideSequence::ToString() const {
   std::string out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) out.push_back(CharAt(i));
+  AppendTo(&out);
   return out;
 }
 

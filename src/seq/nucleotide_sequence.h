@@ -81,6 +81,9 @@ class NucleotideSequence {
   /// The IUPAC string rendering.
   std::string ToString() const;
 
+  /// Appends the IUPAC string rendering to *out, two bases per table load.
+  void AppendTo(std::string* out) const;
+
   /// Copies [pos, pos+len) into a new sequence; OutOfRange if it does not
   /// fit.
   Result<NucleotideSequence> Subsequence(size_t pos, size_t len) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -246,9 +247,11 @@ TEST(KernelTest, LocalStatsMatchTracebackPropertySweep) {
 // ------------------------------------------------- Lane kernel == scalar.
 
 // LocalAlignStatsBlock at `lanes` lanes against LocalAlignStats on every
-// row: random DNA and IUPAC rows at block sizes around the lane counts,
-// then the tie-heavy pairs, every `a` of them against each `b`.
-void ExpectLanesMatchScalar(size_t lanes) {
+// row: random DNA and IUPAC rows at the block sizes `counts` (around the
+// lane counts), then the tie-heavy pairs, every `a` of them against each
+// `b`.
+void ExpectLanesMatchScalar(size_t lanes,
+                            std::initializer_list<size_t> counts) {
   Rng rng(2026);
   AlignScratch scratch;
   const auto check = [&](const std::vector<std::string>& rows,
@@ -284,7 +287,7 @@ void ExpectLanesMatchScalar(size_t lanes) {
   };
   for (const Case& c : cases) {
     for (const GapPenalties& gaps : kGapGrid) {
-      for (size_t count : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
+      for (size_t count : counts) {
         const std::string b = rng.RandomString(rng.Uniform(64), c.alphabet);
         std::vector<std::string> rows;
         for (size_t k = 0; k < count; ++k) {
@@ -306,11 +309,18 @@ void ExpectLanesMatchScalar(size_t lanes) {
   }
 }
 
-TEST(KernelTest, LaneStatsMatchScalarSse2) { ExpectLanesMatchScalar(8); }
+TEST(KernelTest, LaneStatsMatchScalarSse2) {
+  ExpectLanesMatchScalar(8, {1, 7, 8, 9, 15, 16, 17});
+}
 
 TEST(KernelTest, LaneStatsMatchScalarAvx2) {
-  if (StatsLanes() != 16) GTEST_SKIP() << "this CPU has no AVX2";
-  ExpectLanesMatchScalar(16);
+  if (StatsLanes() < 16) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectLanesMatchScalar(16, {1, 7, 8, 9, 15, 16, 17});
+}
+
+TEST(KernelTest, LaneStatsMatchScalarAvx512) {
+  if (StatsLanes() < 32) GTEST_SKIP() << "this CPU has no AVX-512BW";
+  ExpectLanesMatchScalar(32, {1, 31, 32, 33, 64, 65});
 }
 
 TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
@@ -337,7 +347,7 @@ TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
       {SubstitutionMatrix::Nucleotide(500, -1), rows.size()},
       {SubstitutionMatrix::Nucleotide(2, -9000), rows.size()},
   };
-  for (size_t lanes : {size_t{8}, StatsLanes()}) {
+  for (size_t lanes = 8; lanes <= StatsLanes(); lanes *= 2) {
     for (const Case& c : cases) {
       const uint64_t before = scalar_rows->value();
       auto block = LocalAlignStatsBlock(views, b, c.scoring, GapPenalties(),
@@ -358,9 +368,13 @@ TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
   auto row = NucleotideSequence::Dna(long_row).value();
   EXPECT_EQ(ResemblesBlock(pattern, {&row}).value(),
             std::vector<bool>{Resembles(row, pattern).value()});
-  EXPECT_FALSE(LocalAlignStatsBlock(views, b, SubstitutionMatrix::Nucleotide(),
-                                    GapPenalties(), 4)
-                   .ok());
+  for (size_t unsupported : {size_t{4}, size_t{12}, 2 * StatsLanes()}) {
+    EXPECT_FALSE(LocalAlignStatsBlock(views, b,
+                                      SubstitutionMatrix::Nucleotide(),
+                                      GapPenalties(), unsupported)
+                     .ok())
+        << unsupported;
+  }
 }
 
 TEST(KernelTest, ResemblesBlockMatchesResemblesPerRow) {

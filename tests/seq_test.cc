@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <string>
+#include <string_view>
 
 #include "base/bytes.h"
 #include "base/rng.h"
@@ -56,7 +59,7 @@ TEST(AlphabetTest, InvalidCharactersRejected) {
 
 TEST(AlphabetTest, ComplementIsWatsonCrick) {
   auto comp = [](char c) {
-    BaseCode code;
+    BaseCode code = 0;
     EXPECT_TRUE(CharToBase(c, &code));
     return BaseToChar(ComplementBase(code), Alphabet::kDna);
   };
@@ -120,6 +123,73 @@ TEST(NucleotideSequenceTest, RejectsInvalidCharacterWithPosition) {
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.status().IsInvalidArgument());
   EXPECT_NE(s.status().message().find("position 3"), std::string::npos);
+}
+
+// ToString (two bases per table load) against the per-base CharAt
+// rendering, with every code at every position of lengths 0-5 in both
+// alphabets, and the canonical letter of every code spelled out.
+TEST(NucleotideSequenceTest, ToStringMatchesCharAtForEveryCode) {
+  for (Alphabet alphabet : {Alphabet::kDna, Alphabet::kRna}) {
+    for (size_t len = 0; len <= 5; ++len) {
+      for (size_t pos = 0; pos < std::max<size_t>(len, 1); ++pos) {
+        for (int code = 0; code < 16; ++code) {
+          NucleotideSequence s(alphabet);
+          for (size_t i = 0; i < len; ++i) {
+            s.Append(static_cast<BaseCode>(
+                i == pos ? code : (code + 5 * i + 3) % 16));
+          }
+          std::string per_base;
+          for (size_t i = 0; i < s.size(); ++i) per_base.push_back(s.CharAt(i));
+          EXPECT_EQ(s.ToString(), per_base)
+              << "len=" << len << " pos=" << pos << " code=" << code;
+          std::string appended = "x";
+          s.AppendTo(&appended);
+          EXPECT_EQ(appended, "x" + per_base);
+        }
+      }
+    }
+    NucleotideSequence every(alphabet);
+    for (int code = 0; code < 16; ++code) {
+      every.Append(static_cast<BaseCode>(code));
+    }
+    EXPECT_EQ(every.ToString(), alphabet == Alphabet::kRna
+                                    ? "-ACMGRSVUWYHKDBN"
+                                    : "-ACMGRSVTWYHKDBN");
+  }
+}
+
+// Random IUPAC text in either case parses and renders canonically, and an
+// invalid character anywhere is reported with its position.
+TEST(NucleotideSequenceTest, RandomIupacRoundTripAndInvalidPosition) {
+  constexpr std::string_view kIupac = "ACGTURYSWKMBDHVN-.acgturyswkmbdhvn";
+  constexpr std::string_view kInvalid = "QZXJEFIOPLqzxjefiopl05 *\n\t?_";
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Alphabet alphabet =
+        trial % 2 == 0 ? Alphabet::kDna : Alphabet::kRna;
+    const std::string text = rng.RandomString(rng.Uniform(80), kIupac);
+    std::string canonical;
+    for (char c : text) {
+      char up = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      if (up == '.') up = '-';
+      if (up == 'T' || up == 'U') up = alphabet == Alphabet::kRna ? 'U' : 'T';
+      canonical.push_back(up);
+    }
+    auto s = NucleotideSequence::FromString(text, alphabet);
+    ASSERT_TRUE(s.ok()) << text;
+    EXPECT_EQ(s->size(), text.size());
+    EXPECT_EQ(s->ToString(), canonical) << text;
+
+    std::string bad = text;
+    const size_t at = rng.Uniform(bad.size() + 1);
+    const char invalid = rng.Pick(kInvalid);
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at), invalid);
+    auto rejected = NucleotideSequence::FromString(bad, alphabet);
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().message(),
+              std::string("invalid nucleotide character '") + invalid +
+                  "' at position " + std::to_string(at));
+  }
 }
 
 TEST(NucleotideSequenceTest, RnaRendersUracil) {
