@@ -40,10 +40,8 @@ struct Alignment {
 };
 
 /// Needleman–Wunsch global alignment with affine gaps (Gotoh).
-/// Complexity O(|a|*|b|) time and memory. Callers that only need the
-/// score should use GlobalAlignScore (kernels.h): identical result in
-/// O(min(|a|,|b|)) memory. `scratch` (optional) recycles the DP arena
-/// across calls.
+/// Complexity O(|a|*|b|) time and memory. `scratch` (optional) recycles
+/// the DP arena across calls.
 Result<Alignment> GlobalAlign(std::string_view a, std::string_view b,
                               const SubstitutionMatrix& scoring,
                               const GapPenalties& gaps = GapPenalties(),

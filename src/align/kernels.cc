@@ -139,54 +139,6 @@ int32_t LocalScoreCore(const ScoringProfile& profile,
   return best;
 }
 
-// Rolling-row core for the global kernel; same layout as LocalScoreCore
-// with GlobalAlign's boundaries (leading gaps cost open + k*extend) and
-// no zero clamp. Returns max(M, X, Y) at the (rows, cols) corner.
-int32_t GlobalScoreCore(const ScoringProfile& profile,
-                        const std::vector<uint8_t>& ra,
-                        const std::vector<uint8_t>& rb,
-                        const GapPenalties& gaps, AlignScratch* scratch) {
-  const size_t rows = ra.size();
-  const size_t cols = rb.size();
-  const int32_t oe = gaps.open + gaps.extend;
-  const int32_t ext = gaps.extend;
-  std::vector<int32_t>& rm = scratch->row_m;
-  std::vector<int32_t>& rx = scratch->row_x;
-  std::vector<int32_t>& rbest = scratch->row_best;
-  rm.assign(cols + 1, kNegInf32);
-  rx.assign(cols + 1, kNegInf32);
-  rbest.assign(cols + 1, kNegInf32);
-  rm[0] = 0;
-  rbest[0] = 0;
-  for (size_t j = 1; j <= cols; ++j) {
-    // Y[0][j]: the all-leading-gap prefix.
-    rbest[j] = gaps.open + static_cast<int32_t>(j) * ext;
-  }
-  for (size_t i = 1; i <= rows; ++i) {
-    const int32_t* score_row = profile.Row(ra[i - 1]);
-    int32_t m_left = kNegInf32;     // M[i][0] is unreachable.
-    int32_t y_left = kNegInf32;     // Y[i][0] is unreachable.
-    int32_t best_diag = rbest[0];
-    // X[i][0]: the all-leading-gap prefix in the other sequence.
-    rbest[0] = gaps.open + static_cast<int32_t>(i) * ext;
-    rm[0] = kNegInf32;
-    for (size_t j = 1; j <= cols; ++j) {
-      int32_t mv = best_diag + score_row[rb[j - 1]];
-      int32_t xv = std::max(rm[j] + oe, rx[j] + ext);
-      int32_t yv = std::max(m_left + oe, y_left + ext);
-      int32_t bv = std::max(mv, std::max(xv, yv));
-      best_diag = rbest[j];
-      rm[j] = mv;
-      rx[j] = xv;
-      rbest[j] = bv;
-      m_left = mv;
-      y_left = yv;
-    }
-  }
-  Metrics().cells->Add(rows * cols);
-  return rbest[cols];
-}
-
 // One alignment column: length + 1, identities + `identical`.
 constexpr uint64_t kColumn = uint64_t{1} << 32;
 
@@ -307,20 +259,36 @@ Result<AlignmentStats> ScalarStats(const ScoringProfile& profile,
 // pad rows that score kNegInf16 against every column and never match, so
 // its M cells are 0 from then on and its best cell never moves.
 //
+// Per-row set-up, as SWIPE interleaves its database sequences: the pass's
+// rows are transposed, kPlaneRows positions at a time, into lane-major
+// planes of class codes and raw characters, where a pad row holds the pad
+// class (profile.width()) and '-'. Each distinct character of b (a slot)
+// has a kTableSize-entry table of its score against every row class,
+// kNegInf16 for the pad class, and an identity key: its character, or -1
+// for '-', which no character equals. A row's scores against a slot are
+// then one shuffle of the slot's table by the row's code vector, and its
+// identity flags one compare of its character vector with the slot's key.
+//
 // A-priori int16 bound: the kernel's cells stay in [kNegInf16 + extend,
 // kLaneMax] when every row's best possible score (max_pair x
 // min(|a|, |b|)) and |a| + |b| are at most kLaneMax, and the profile's
 // worst substitution and gap open + extend are no worse than
 // -kLanePenaltyMax. A pad row's diagonal is then kNegInf16 plus at most
-// kLaneMax, always negative. Rows outside the bound take ScalarStats.
+// kLaneMax, always negative. Rows outside the bound, and every row of a
+// profile whose classes and pad class overflow a table, take ScalarStats.
 
 constexpr int32_t kLaneMax = 16000;
 constexpr int32_t kLanePenaltyMax = 8192;
 constexpr int16_t kNegInf16 = -16384;
+constexpr size_t kTableSize = 32;
+// Deep enough that the transposes cost little, shallow enough that the
+// planes fit on the kernel's stack at any row length.
+constexpr size_t kPlaneRows = 64;
 
 bool ProfileFitsLanes(const ScoringProfile& profile,
                       const GapPenalties& gaps) {
-  return profile.min_pair_score() >= -kLanePenaltyMax &&
+  return static_cast<size_t>(profile.width()) < kTableSize &&
+         profile.min_pair_score() >= -kLanePenaltyMax &&
          int64_t{gaps.open} + gaps.extend >= -kLanePenaltyMax;
 }
 
@@ -345,11 +313,11 @@ enum LaneField { kM, kX, kBest, kMLen, kMId, kXLen, kXId, kBestLen,
 struct LanePass {
   const ScoringProfile* profile;
   std::string_view b;
-  // b by distinct character: slot of each column, character of each slot.
-  const uint8_t* slot_of_column;
-  const char* slot_char;
-  const uint8_t* slot_code;  // Residue class of each slot's character.
+  const uint8_t* slot_of_column;  // Slot of each column of b.
   size_t slots;
+  // Per slot, its kTableSize scores by row class, then its identity key.
+  const int16_t* tables;
+  const int16_t* keys;
   const std::string_view* rows;  // `count` rows, the longest last.
   size_t count;
   int16_t open_extend, extend;
@@ -369,6 +337,31 @@ template <typename V>
 template <typename V>
 [[gnu::always_inline]] inline void StoreLanes(int16_t* p, const V* v) {
   std::memcpy(p, v, sizeof(V));
+}
+
+// Transposes row positions [first, first + kPlaneRows) of the pass's rows
+// into planes of `lanes` bytes per position, pad included.
+void FillPlanes(const LanePass& pass, size_t lanes, size_t first,
+                uint8_t* codes, uint8_t* chars) {
+  std::memset(codes, pass.profile->width(), kPlaneRows * lanes);
+  std::memset(chars, '-', kPlaneRows * lanes);
+  for (size_t l = 0; l < pass.count; ++l) {
+    const std::string_view row = pass.rows[l];
+    for (size_t i = first; i < std::min(row.size(), first + kPlaneRows); ++i) {
+      codes[(i - first) * lanes + l] = pass.profile->Code(row[i]);
+      chars[(i - first) * lanes + l] = static_cast<uint8_t>(row[i]);
+    }
+  }
+}
+
+// One plane position, widened to int16 lanes.
+template <typename V>
+[[gnu::always_inline]] inline void WidenLanes(V* v, const uint8_t* p) {
+  typedef uint8_t Bytes
+      __attribute__((vector_size(sizeof(V) / sizeof(int16_t))));
+  Bytes bytes;
+  std::memcpy(&bytes, p, sizeof(bytes));
+  *v = __builtin_convertvector(bytes, V);
 }
 
 // Written once over the vector type; always inlined, so each caller
@@ -392,20 +385,34 @@ template <typename V>
     }
   }
   V best = zero, best_len = zero, best_id = zero;
+  uint8_t codes[kPlaneRows * kLanes], chars[kPlaneRows * kLanes];
   const size_t height = pass.rows[pass.count - 1].size();
   for (size_t i = 0; i < height; ++i) {
-    // This row's score and identity flag of every lane against each
-    // distinct character of b.
-    for (size_t l = 0; l < kLanes; ++l) {
-      const bool real = l < pass.count && i < pass.rows[l].size();
-      const char ai = real ? pass.rows[l][i] : '-';
-      const int32_t* row = pass.profile->Row(pass.profile->Code(ai));
-      for (size_t s = 0; s < pass.slots; ++s) {
-        scores[s * kLanes + l] =
-            real ? static_cast<int16_t>(row[pass.slot_code[s]]) : kNegInf16;
-        identical[s * kLanes + l] = real && ai != '-' &&
-                                    ai == pass.slot_char[s];
+    // This row's score and identity flag of every lane against each slot.
+    const size_t at = i % kPlaneRows * kLanes;
+    if (at == 0) FillPlanes(pass, kLanes, i, codes, chars);
+    V code, ch;
+    WidenLanes(&code, codes + at);
+    WidenLanes(&ch, chars + at);
+    for (size_t s = 0; s < pass.slots; ++s) {
+      const int16_t* table = pass.tables + s * kTableSize;
+      V score;
+      if constexpr (kLanes == kTableSize) {
+        V t;
+        LoadLanes(&t, table);
+        score = __builtin_shuffle(t, code);
+      } else if constexpr (2 * kLanes == kTableSize) {
+        V lo, hi;
+        LoadLanes(&lo, table);
+        LoadLanes(&hi, table + kLanes);
+        score = __builtin_shuffle(lo, hi, code);
+      } else {
+        // SSE2 has no variable word shuffle.
+        for (size_t l = 0; l < kLanes; ++l) score[l] = table[codes[at + l]];
       }
+      const V same = (ch == zero + pass.keys[s]) & one;
+      StoreLanes(scores + s * kLanes, &score);
+      StoreLanes(identical + s * kLanes, &same);
     }
     V m_left = zero, m_left_len = zero, m_left_id = zero;
     V y_left = neg_inf, y_left_len = zero, y_left_id = zero;
@@ -528,11 +535,11 @@ Status StatsBlock(const ScoringProfile& profile,
   std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
     return rows[x].size() < rows[y].size();
   });
-  // Slot each column of b by its character.
+  // Slot each column of b by its character, and give each slot its table
+  // and identity key.
   std::array<int16_t, 256> slot_of_char;
   slot_of_char.fill(-1);
   std::vector<char> slot_char;
-  std::vector<uint8_t> slot_code;
   std::vector<uint8_t>& slot_of_column = scratch->codes_b;
   slot_of_column.resize(b.size());
   for (size_t j = 0; j < b.size(); ++j) {
@@ -540,18 +547,28 @@ Status StatsBlock(const ScoringProfile& profile,
     if (slot < 0) {
       slot = static_cast<int16_t>(slot_char.size());
       slot_char.push_back(b[j]);
-      slot_code.push_back(profile.Code(b[j]));
     }
     slot_of_column[j] = static_cast<uint8_t>(slot);
   }
-  scratch->lanes.resize((kLaneFields * b.size() + 2 * slot_char.size()) *
-                        lanes);
+  const size_t slots = slot_char.size();
+  const size_t state = (kLaneFields * b.size() + 2 * slots) * lanes;
+  scratch->lanes.resize(state + (kTableSize + 1) * slots);
+  int16_t* tables = scratch->lanes.data() + state;
+  int16_t* keys = tables + kTableSize * slots;
+  std::fill(tables, keys, kNegInf16);
+  for (size_t s = 0; s < slots; ++s) {
+    const uint8_t code = profile.Code(slot_char[s]);
+    for (int c = 0; c < profile.width(); ++c) {
+      tables[s * kTableSize + c] = static_cast<int16_t>(profile.Row(c)[code]);
+    }
+    keys[s] = slot_char[s] == '-' ? -1 : static_cast<uint8_t>(slot_char[s]);
+  }
   LanePass pass{&profile,
                 b,
                 slot_of_column.data(),
-                slot_char.data(),
-                slot_code.data(),
-                slot_char.size(),
+                slots,
+                tables,
+                keys,
                 nullptr,
                 0,
                 static_cast<int16_t>(gaps.open + gaps.extend),
@@ -782,28 +799,6 @@ Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
   return static_cast<int64_t>(LocalScoreCore(profile, scratch->codes_a,
                                              scratch->codes_b, gaps,
                                              scratch, nullptr, nullptr));
-}
-
-Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
-                                 const SubstitutionMatrix& scoring,
-                                 const GapPenalties& gaps,
-                                 AlignScratch* scratch) {
-  GENALG_RETURN_IF_ERROR(CheckGapPenalties(gaps));
-  AlignScratch local;
-  if (scratch == nullptr) scratch = &local;
-  ScoringProfile profile(scoring);
-  if (!FitsInt32(a.size(), b.size(), profile, gaps)) {
-    Metrics().full_dp_fallbacks->Increment();
-    GENALG_ASSIGN_OR_RETURN(Alignment full,
-                            GlobalAlign(a, b, scoring, gaps));
-    return full.score;
-  }
-  std::string_view outer = a.size() >= b.size() ? a : b;
-  std::string_view inner = a.size() >= b.size() ? b : a;
-  profile.Encode(outer, &scratch->codes_a);
-  profile.Encode(inner, &scratch->codes_b);
-  return static_cast<int64_t>(GlobalScoreCore(
-      profile, scratch->codes_a, scratch->codes_b, gaps, scratch));
 }
 
 Result<AlignmentStats> LocalAlignStats(std::string_view a,

@@ -42,9 +42,9 @@ struct AlignScratch {
   std::vector<StatsCell> stats_row;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
-  // The lane kernel's state: plain int16 cells, read and written with
-  // unaligned vector loads and stores, so no vector type ever lives in a
-  // std:: container.
+  // The lane kernel's state and per-slot score tables: plain int16, read
+  // and written with unaligned vector loads and stores, so no vector type
+  // ever lives in a std:: container.
   std::vector<int16_t> lanes;
   // The rows ResemblesLanes decodes for the lane kernel, back to back.
   std::string rows;
@@ -102,13 +102,6 @@ Result<int64_t> LocalAlignScore(std::string_view a, std::string_view b,
                                 const SubstitutionMatrix& scoring,
                                 const GapPenalties& gaps = GapPenalties(),
                                 AlignScratch* scratch = nullptr);
-
-/// Needleman–Wunsch global score — identical to GlobalAlign(...).score —
-/// with the same rolling-row layout.
-Result<int64_t> GlobalAlignScore(std::string_view a, std::string_view b,
-                                 const SubstitutionMatrix& scoring,
-                                 const GapPenalties& gaps = GapPenalties(),
-                                 AlignScratch* scratch = nullptr);
 
 /// Score, column count and identical-column count of the alignment
 /// LocalAlign(a, b) returns, without its gapped strings.
