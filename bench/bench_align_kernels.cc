@@ -1,24 +1,28 @@
 // Alignment-kernel ablation: times the full-traceback Smith–Waterman DP
 // against the linear-memory kernels it was refactored into — the rolling
-// two-row Gotoh score kernel, the stats kernel that carries the traced
-// path's length and identities forward, and the early-terminating
-// thresholded predicate — over a length sweep, and writes
-// BENCH_align_kernels.json to the repo root. Alongside wall-clock
-// it records the peak DP working-set of each kernel (analytic, from the
+// two-row Gotoh score kernel and the stats kernel that carries the traced
+// path's length and identities forward — over a length sweep, and writes
+// BENCH_align_kernels.json to the repo root. Alongside wall-clock it
+// records the peak DP working-set of each kernel (analytic, from the
 // layouts: three int64 matrices for the full DP vs three int32 rows for
 // the kernels), which is the O(n*m) → O(min(n,m)) claim in numbers.
 //
 // Every timed kernel call is checked against the full DP first, so a run
 // that produced a wrong score or statistic aborts instead of reporting it.
 //
-// The lane rows time the stats pass the way the SQL filter runs it: 120
-// rows of 300-700 bp against one mutated 40 or 200 bp pattern, scalar
-// LocalAlignStats row by row against LocalAlignStatsBlock's 8-lane (SSE2)
-// kernel and, where the CPU has them, its 16-lane (AVX2) and 32-lane
-// (AVX-512BW) kernels, on one thread. Each lane width is checked against
-// scalar before it is timed, and the widths checked are printed; the
-// JSON records the median and IQR of pairs/s over the reps, the ISA the
-// dispatch picks, nproc and the compiler.
+// The lane rows time LocalAlignStatsPairs on one thread in both of its
+// forms: the shared form the SQL filter runs (120 rows of 300-700 bp
+// against one mutated 40 or 200 bp pattern), and the pair form the
+// integrator and the mediator run (128 pairs of 300-700 bp, half of them
+// a sequence and its mutated copy, half unrelated), scalar LocalAlignStats
+// pair by pair against the 8-lane (SSE2) kernel and, where the CPU has
+// them, the 16-lane (AVX2) and 32-lane (AVX-512BW) kernels. Each lane
+// width is checked against scalar before it is timed, and the widths
+// checked are printed. Each rep times scalar and then every width, so a
+// width's speed-up over scalar comes from back-to-back calls; the JSON
+// records the median and IQR of pairs/s and of that ratio over the reps,
+// the ISA the dispatch picks, nproc and the compiler. Host load on a
+// shared machine moves pairs/s from run to run; the ratio moves less.
 
 #include <algorithm>
 #include <chrono>
@@ -84,7 +88,6 @@ struct LengthResult {
   double full_dp_ms = 0;
   double score_only_ms = 0;
   double stats_ms = 0;
-  double reaches_miss_ms = 0;
   size_t full_dp_bytes = 0;
   size_t score_only_bytes = 0;
   size_t stats_bytes = 0;
@@ -93,8 +96,6 @@ struct LengthResult {
 LengthResult RunLength(size_t length) {
   Rng rng(4242 + length);
   const Pair related = MakeRelatedPair(&rng, length);
-  const std::string noise_a = rng.RandomDna(length);
-  const std::string noise_b = rng.RandomDna(length);
   const auto& scoring = align::SubstitutionMatrix::Nucleotide();
   const align::GapPenalties gaps;
 
@@ -112,18 +113,6 @@ LengthResult RunLength(size_t length) {
           .value();
   if (stats.score != truth || stats.length != full.Length() ||
       stats.identities != full.Identities()) {
-    std::abort();
-  }
-  // A threshold between the noise pair's best score (~0.2 per base) and
-  // the related pair's (~1.8 per base): the early-exit regime the
-  // `resembles` screen runs in, for both the accept and the reject exit.
-  const int64_t threshold = static_cast<int64_t>(length);
-  if (!align::LocalScoreReaches(related.a, related.b, scoring, gaps,
-                                threshold, &scratch)
-           .value() ||
-      align::LocalScoreReaches(noise_a, noise_b, scoring, gaps, threshold,
-                               &scratch)
-          .value()) {
     std::abort();
   }
 
@@ -151,13 +140,6 @@ LengthResult RunLength(size_t length) {
       std::abort();
     }
   });
-  out.reaches_miss_ms = TimeMs(repeats, [&] {
-    if (align::LocalScoreReaches(noise_a, noise_b, scoring, gaps,
-                                 threshold, &scratch)
-            .value()) {
-      std::abort();
-    }
-  });
   // Peak DP working set, from the layouts. Full DP: three int64 layers
   // of (n+1)*(m+1) cells. Score-only: three int32 rows of min(n,m)+1
   // cells plus the two uint8 code strings. Stats: one row of StatsCell
@@ -173,19 +155,17 @@ LengthResult RunLength(size_t length) {
 }
 
 // The end-to-end predicate: `resembles` over a mixed batch of related
-// and unrelated pairs, old route (full DP for every pair) vs the
-// screened kernels behind the new Resembles. Two regimes: the permissive
-// default (80% over >= 16 bases), whose tiny score floor almost never
-// refutes a pair, so nearly every pair takes the stats pass; and a
-// stringent entity-matching config (90% over >= 200 bases), whose floor
-// rejects unrelated pairs after one score-only pass.
+// and unrelated pairs, old route (full DP for every pair) vs
+// BatchResembles on one thread, in two regimes: the permissive default
+// (80% over >= 16 bases) and a stringent entity-matching config (90% over
+// >= 200 bases).
 struct PredicateResult {
   const char* name = "";
   double min_identity = 0;
   size_t min_overlap = 0;
   size_t pairs = 0;
   double full_dp_ms = 0;
-  double screened_ms = 0;
+  double batch_ms = 0;
 };
 
 PredicateResult RunPredicate(const char* name, double min_identity,
@@ -234,12 +214,12 @@ PredicateResult RunPredicate(const char* name, double min_identity,
     }
   });
   ThreadPool serial(1);
-  out.screened_ms = TimeMs(3, [&] {
+  out.batch_ms = TimeMs(3, [&] {
     auto got =
         align::BatchResembles(pairs, min_identity, min_overlap, &serial)
             .value();
     for (size_t i = 0; i < pairs.size(); ++i) {
-      if (got[i] != want[i]) std::abort();
+      if (got[i].hit != want[i]) std::abort();
     }
   });
   return out;
@@ -259,86 +239,130 @@ Spread SpreadOf(std::vector<double> samples) {
   return Spread{at(0.5), at(0.75) - at(0.25)};
 }
 
+constexpr size_t kWidths[] = {8, 16, 32};
+constexpr const char* kIsa[] = {"sse2", "avx2", "avx512bw"};
+
 struct LaneResult {
-  size_t pattern_length = 0;
-  size_t rows = 0;
-  Spread scalar;  // Pairs per second.
-  Spread lanes8;
-  Spread lanes16;  // Zero when the CPU has no AVX2.
-  Spread lanes32;  // Zero when the CPU has no AVX-512BW.
+  std::string workload;
+  size_t pairs = 0;
+  Spread scalar;      // Pairs per second.
+  Spread lanes[3];    // Per width of kWidths; zero where the CPU lacks it.
+  Spread vs_scalar[3];  // Per rep, scalar time over the width's time.
   std::string verified;  // The lane widths checked against scalar.
 };
 
-LaneResult RunLanes(size_t pattern_length) {
+LaneResult TimeLanes(
+    std::string workload,
+    const std::vector<std::pair<std::string_view, std::string_view>>& pairs) {
   constexpr int kReps = 15;
+  const auto& scoring = align::SubstitutionMatrix::Nucleotide();
+  const align::GapPenalties gaps;
+  ThreadPool serial(1);
+  align::AlignScratch scratch;
+  std::vector<align::AlignmentStats> want;
+  for (const auto& [a, b] : pairs) {
+    want.push_back(align::LocalAlignStats(a, b, scoring, gaps).value());
+  }
+  LaneResult out;
+  out.workload = std::move(workload);
+  out.pairs = pairs.size();
+  size_t widths = 0;
+  for (size_t w = 0; w < 3 && kWidths[w] <= align::StatsLanes(); ++w) {
+    const auto got =
+        align::LocalAlignStatsPairs(pairs, scoring, gaps, kWidths[w], &serial)
+            .value();
+    for (size_t k = 0; k < want.size(); ++k) {
+      if (got[k].score != want[k].score || got[k].length != want[k].length ||
+          got[k].identities != want[k].identities) {
+        std::fprintf(stderr, "%zu lanes disagree with scalar on pair %zu\n",
+                     kWidths[w], k);
+        std::abort();
+      }
+    }
+    out.verified += (out.verified.empty() ? "" : ",") +
+                    std::to_string(kWidths[w]);
+    ++widths;
+  }
+  const auto seconds = [](auto&& body) {
+    auto start = std::chrono::steady_clock::now();
+    body();
+    auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(stop - start).count();
+  };
+  std::vector<double> scalar, lanes[3], ratio[3];
+  for (int r = 0; r <= kReps; ++r) {  // Rep 0 warms up.
+    const double scalar_s = seconds([&] {
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        if (align::LocalAlignStats(pairs[k].first, pairs[k].second, scoring,
+                                   gaps, &scratch)
+                ->score != want[k].score) {
+          std::abort();
+        }
+      }
+    });
+    if (r > 0) scalar.push_back(pairs.size() / scalar_s);
+    for (size_t w = 0; w < widths; ++w) {
+      const double lane_s = seconds([&] {
+        if (align::LocalAlignStatsPairs(pairs, scoring, gaps, kWidths[w],
+                                        &serial)
+                ->size() != pairs.size()) {
+          std::abort();
+        }
+      });
+      if (r == 0) continue;
+      lanes[w].push_back(pairs.size() / lane_s);
+      ratio[w].push_back(scalar_s / lane_s);
+    }
+  }
+  out.scalar = SpreadOf(scalar);
+  for (size_t w = 0; w < widths; ++w) {
+    out.lanes[w] = SpreadOf(lanes[w]);
+    out.vs_scalar[w] = SpreadOf(ratio[w]);
+  }
+  return out;
+}
+
+// The shared form: 120 rows against one pattern cut from one of them and
+// mutated at 5% of its bases.
+LaneResult RunSharedLanes(size_t pattern_length) {
   Rng rng(7100 + pattern_length);
   std::vector<std::string> rows;
   for (int i = 0; i < 120; ++i) {
     rows.push_back(rng.RandomDna(300 + rng.Uniform(401)));
   }
-  const std::vector<std::string_view> views(rows.begin(), rows.end());
   const std::string& home = rows[rng.Uniform(rows.size())];
   std::string b = home.substr(rng.Uniform(home.size() - pattern_length),
                               pattern_length);
   for (size_t k = 0; k < pattern_length / 20; ++k) {
     b[rng.Uniform(b.size())] = rng.Pick("ACGT");
   }
-  const auto& scoring = align::SubstitutionMatrix::Nucleotide();
-  const align::GapPenalties gaps;
-  align::AlignScratch scratch;
-  std::vector<align::AlignmentStats> want;
-  for (const std::string& a : rows) {
-    want.push_back(align::LocalAlignStats(a, b, scoring, gaps).value());
+  std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  for (const std::string& a : rows) pairs.emplace_back(a, b);
+  return TimeLanes("shared_" + std::to_string(pattern_length) + "bp", pairs);
+}
+
+// The pair form: 128 pairs of 300-700 bp, every other one a sequence and
+// a copy with 8% substitutions and a few short indels.
+LaneResult RunPairLanes() {
+  Rng rng(7300);
+  std::vector<std::pair<std::string, std::string>> store;
+  for (int i = 0; i < 128; ++i) {
+    std::string a = rng.RandomDna(300 + rng.Uniform(401));
+    std::string b;
+    if (i % 2 == 0) {
+      for (size_t k = 0; k < a.size(); ++k) {
+        if (rng.Bernoulli(0.01)) continue;
+        if (rng.Bernoulli(0.01)) b += rng.RandomDna(1 + rng.Uniform(3));
+        b.push_back(rng.Bernoulli(0.08) ? rng.Pick("ACGT") : a[k]);
+      }
+    } else {
+      b = rng.RandomDna(300 + rng.Uniform(401));
+    }
+    store.emplace_back(std::move(a), std::move(b));
   }
-  const auto check = [&](const std::vector<align::AlignmentStats>& got) {
-    for (size_t k = 0; k < want.size(); ++k) {
-      if (got[k].score != want[k].score || got[k].length != want[k].length ||
-          got[k].identities != want[k].identities) {
-        std::fprintf(stderr, "lane kernel disagrees with scalar on row %zu\n",
-                     k);
-        std::abort();
-      }
-    }
-  };
-  const auto pairs_per_s = [&](auto&& body) {
-    body();  // Warm-up.
-    std::vector<double> samples;
-    for (int r = 0; r < kReps; ++r) {
-      auto start = std::chrono::steady_clock::now();
-      body();
-      auto stop = std::chrono::steady_clock::now();
-      samples.push_back(static_cast<double>(rows.size()) /
-                        std::chrono::duration<double>(stop - start).count());
-    }
-    return SpreadOf(std::move(samples));
-  };
-  LaneResult out;
-  out.pattern_length = pattern_length;
-  out.rows = rows.size();
-  out.scalar = pairs_per_s([&] {
-    for (size_t k = 0; k < rows.size(); ++k) {
-      if (align::LocalAlignStats(rows[k], b, scoring, gaps, &scratch)
-              ->score != want[k].score) {
-        std::abort();
-      }
-    }
-  });
-  for (size_t lanes = 8; lanes <= align::StatsLanes(); lanes *= 2) {
-    check(align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
-                                      &scratch)
-              .value());
-    out.verified += (out.verified.empty() ? "" : ",") + std::to_string(lanes);
-    const Spread spread = pairs_per_s([&] {
-      if (align::LocalAlignStatsBlock(views, b, scoring, gaps, lanes,
-                                      &scratch)
-              ->size() != rows.size()) {
-        std::abort();
-      }
-    });
-    (lanes == 8 ? out.lanes8 : lanes == 16 ? out.lanes16 : out.lanes32) =
-        spread;
-  }
-  return out;
+  std::vector<std::pair<std::string_view, std::string_view>> pairs(
+      store.begin(), store.end());
+  return TimeLanes("pairs_300_700bp", pairs);
 }
 
 }  // namespace
@@ -371,11 +395,10 @@ int main(int argc, char** argv) {
     results[i] = RunLength(kLengths[i]);
     std::printf(
         "len=%-5zu full=%.2fms score=%.2fms (%.1fx) stats=%.2fms "
-        "(%.1fx) reject=%.2fms\n",
+        "(%.1fx)\n",
         results[i].length, results[i].full_dp_ms, results[i].score_only_ms,
         results[i].full_dp_ms / results[i].score_only_ms,
-        results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms,
-        results[i].reaches_miss_ms);
+        results[i].stats_ms, results[i].full_dp_ms / results[i].stats_ms);
   }
   PredicateResult predicates[] = {
       RunPredicate("permissive", 0.8, 16),
@@ -384,21 +407,22 @@ int main(int argc, char** argv) {
   for (const PredicateResult& p : predicates) {
     std::printf(
         "resembles[%s id>=%.2f len>=%zu] x%zu pairs: full=%.2fms "
-        "screened=%.2fms (%.1fx)\n",
+        "batch=%.2fms (%.1fx)\n",
         p.name, p.min_identity, p.min_overlap, p.pairs, p.full_dp_ms,
-        p.screened_ms, p.full_dp_ms / p.screened_ms);
+        p.batch_ms, p.full_dp_ms / p.batch_ms);
   }
 
-  LaneResult lanes[] = {RunLanes(40), RunLanes(200)};
+  LaneResult lanes[] = {RunSharedLanes(40), RunSharedLanes(200),
+                        RunPairLanes()};
   for (const LaneResult& l : lanes) {
-    std::printf(
-        "lanes[%zu bp x %zu rows] pairs/s: scalar=%.0f sse2=%.0f (%.1fx) "
-        "avx2=%.0f (%.1fx) avx512bw=%.0f (%.1fx); lane widths verified "
-        "against scalar: %s\n",
-        l.pattern_length, l.rows, l.scalar.median, l.lanes8.median,
-        l.lanes8.median / l.scalar.median, l.lanes16.median,
-        l.lanes16.median / l.scalar.median, l.lanes32.median,
-        l.lanes32.median / l.scalar.median, l.verified.c_str());
+    std::printf("lanes[%s x %zu] pairs/s: scalar=%.0f", l.workload.c_str(),
+                l.pairs, l.scalar.median);
+    for (size_t w = 0; w < 3; ++w) {
+      std::printf(" %s=%.0f (%.2fx)", kIsa[w], l.lanes[w].median,
+                  l.vs_scalar[w].median);
+    }
+    std::printf("; lane widths verified against scalar: %s\n",
+                l.verified.c_str());
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -419,13 +443,12 @@ int main(int argc, char** argv) {
         "    {\"length\": %zu, \"full_dp_ms\": %.3f, "
         "\"score_only_ms\": %.3f, \"score_only_speedup\": %.2f, "
         "\"stats_ms\": %.3f, \"stats_speedup\": %.2f, "
-        "\"early_exit_reject_ms\": %.3f, "
         "\"full_dp_peak_bytes\": %zu, \"score_only_peak_bytes\": %zu, "
         "\"stats_peak_bytes\": %zu}%s\n",
         r.length, r.full_dp_ms, r.score_only_ms,
         r.full_dp_ms / r.score_only_ms, r.stats_ms,
-        r.full_dp_ms / r.stats_ms, r.reaches_miss_ms, r.full_dp_bytes,
-        r.score_only_bytes, r.stats_bytes, i + 1 < kNumLengths ? "," : "");
+        r.full_dp_ms / r.stats_ms, r.full_dp_bytes, r.score_only_bytes,
+        r.stats_bytes, i + 1 < kNumLengths ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"resembles_predicate\": [\n");
@@ -434,11 +457,11 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"config\": \"%s\", \"min_identity\": %.2f, "
                  "\"min_overlap\": %zu, \"pairs\": %zu, "
-                 "\"full_dp_ms\": %.3f, \"screened_ms\": %.3f, "
+                 "\"full_dp_ms\": %.3f, \"batch_resembles_ms\": %.3f, "
                  "\"speedup\": %.2f}%s\n",
                  r.name, r.min_identity, r.min_overlap, r.pairs,
-                 r.full_dp_ms, r.screened_ms,
-                 r.full_dp_ms / r.screened_ms, p + 1 < 2 ? "," : "");
+                 r.full_dp_ms, r.batch_ms, r.full_dp_ms / r.batch_ms,
+                 p + 1 < 2 ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
@@ -449,21 +472,23 @@ int main(int argc, char** argv) {
                : genalg::align::StatsLanes() == 16 ? "avx2"
                                                    : "sse2");
   std::fprintf(out, "  \"lanes\": [\n");
-  for (size_t i = 0; i < 2; ++i) {
+  for (size_t i = 0; i < 3; ++i) {
     const LaneResult& l = lanes[i];
-    std::fprintf(
-        out,
-        "    {\"pattern_length\": %zu, \"rows\": %zu, \"row_length\": "
-        "\"300-700\", \"reps\": 15, "
-        "\"scalar_pairs_per_s\": %.0f, \"scalar_iqr\": %.0f, "
-        "\"sse2_pairs_per_s\": %.0f, \"sse2_iqr\": %.0f, "
-        "\"avx2_pairs_per_s\": %.0f, \"avx2_iqr\": %.0f, "
-        "\"avx512bw_pairs_per_s\": %.0f, \"avx512bw_iqr\": %.0f, "
-        "\"verified_lanes\": [%s]}%s\n",
-        l.pattern_length, l.rows, l.scalar.median, l.scalar.iqr,
-        l.lanes8.median, l.lanes8.iqr, l.lanes16.median, l.lanes16.iqr,
-        l.lanes32.median, l.lanes32.iqr, l.verified.c_str(),
-        i + 1 < 2 ? "," : "");
+    std::fprintf(out,
+                 "    {\"workload\": \"%s\", \"pairs\": %zu, "
+                 "\"reps\": 15, \"scalar_pairs_per_s\": %.0f, "
+                 "\"scalar_iqr\": %.0f",
+                 l.workload.c_str(), l.pairs, l.scalar.median, l.scalar.iqr);
+    for (size_t w = 0; w < 3; ++w) {
+      std::fprintf(out,
+                   ", \"%s_pairs_per_s\": %.0f, \"%s_iqr\": %.0f, "
+                   "\"%s_vs_scalar\": %.2f, \"%s_vs_scalar_iqr\": %.2f",
+                   kIsa[w], l.lanes[w].median, kIsa[w], l.lanes[w].iqr,
+                   kIsa[w], l.vs_scalar[w].median, kIsa[w],
+                   l.vs_scalar[w].iqr);
+    }
+    std::fprintf(out, ", \"verified_lanes\": [%s]}%s\n",
+                 l.verified.c_str(), i + 1 < 3 ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -1,8 +1,9 @@
 #include "align/aligner.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -251,117 +252,60 @@ Result<Alignment> LocalAlign(const seq::ProteinSequence& a,
 
 namespace {
 
-// Runs `task(i)` for every i in [0, n) over the pool, keeping the first
-// non-OK status (lowest index) — the same error the serial loop would
-// surface first.
-Status ParallelIndexed(ThreadPool* pool, size_t n,
-                       const std::function<Status(size_t)>& task) {
-  if (pool == nullptr) pool = ThreadPool::Global();
-  std::vector<Status> statuses(n, Status::OK());
-  pool->ParallelFor(0, n, 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) statuses[i] = task(i);
-  });
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::OK();
+// A pool of one: ParallelFor runs every chunk inline on its caller.
+ThreadPool* CallingThread() {
+  static ThreadPool* const pool = new ThreadPool(1);
+  return pool;
 }
 
 }  // namespace
 
-Result<std::vector<Alignment>> BatchLocalAlign(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    const GapPenalties& gaps, ThreadPool* pool) {
-  const std::string query_chars = query.ToString();
-  std::vector<Alignment> alignments(targets.size());
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, targets.size(), [&](size_t i) -> Status {
-        // One DP arena per pool worker, recycled across targets.
-        thread_local AlignScratch scratch;
-        const std::string target_chars = targets[i]->ToString();
-        GENALG_ASSIGN_OR_RETURN(
-            alignments[i],
-            LocalAlign(query_chars, target_chars,
-                       SubstitutionMatrix::Nucleotide(), gaps, &scratch));
-        return Status::OK();
-      }));
-  return alignments;
-}
-
-Result<std::vector<bool>> BatchResembles(
+Result<std::vector<SimilarityVerdict>> BatchResembles(
     const std::vector<std::pair<const seq::NucleotideSequence*,
                                 const seq::NucleotideSequence*>>& pairs,
     double min_identity, size_t min_overlap, ThreadPool* pool) {
-  if (min_identity < 0.0 || min_identity > 1.0) {
-    return Status::InvalidArgument("min_identity must be in [0, 1]");
+  // Each distinct sequence decoded once, back to back; views into the
+  // buffer are taken once it has stopped growing.
+  std::string chars;
+  std::unordered_map<const seq::NucleotideSequence*, size_t> offset;
+  for (const auto& [a, b] : pairs) {
+    for (const seq::NucleotideSequence* s : {a, b}) {
+      if (offset.emplace(s, chars.size()).second) s->AppendTo(&chars);
+    }
   }
-  // std::vector<bool> is not safe for concurrent element writes; stage
-  // into bytes.
-  std::vector<uint8_t> verdicts(pairs.size(), 0);
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, pairs.size(), [&](size_t i) -> Status {
-        thread_local AlignScratch scratch;
-        const std::string a = pairs[i].first->ToString();
-        const std::string b = pairs[i].second->ToString();
-        GENALG_ASSIGN_OR_RETURN(
-            SimilarityVerdict out,
-            ResemblesScreened(a, b, min_identity, min_overlap, &scratch));
-        verdicts[i] = out.hit ? 1 : 0;
-        return Status::OK();
-      }));
-  return std::vector<bool>(verdicts.begin(), verdicts.end());
-}
-
-Result<std::vector<SimilarityVerdict>> BatchSimilarity(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    double min_identity, size_t min_overlap, ThreadPool* pool) {
-  const std::string query_chars = query.ToString();
-  std::vector<SimilarityVerdict> verdicts(targets.size());
-  GENALG_RETURN_IF_ERROR(ParallelIndexed(
-      pool, targets.size(), [&](size_t i) -> Status {
-        thread_local AlignScratch scratch;
-        const std::string target_chars = targets[i]->ToString();
-        GENALG_ASSIGN_OR_RETURN(
-            verdicts[i],
-            ResemblesScreened(query_chars, target_chars, min_identity,
-                              min_overlap, &scratch));
-        return Status::OK();
-      }));
-  return verdicts;
+  const auto view = [&](const seq::NucleotideSequence* s) {
+    return std::string_view(chars).substr(offset[s], s->size());
+  };
+  std::vector<std::pair<std::string_view, std::string_view>> views;
+  views.reserve(pairs.size());
+  for (const auto& [a, b] : pairs) views.emplace_back(view(a), view(b));
+  return ResemblesPairs(views, min_identity, min_overlap, pool);
 }
 
 Result<std::vector<bool>> ResemblesBlock(
     const seq::NucleotideSequence& b,
     const std::vector<const seq::NucleotideSequence*>& rows,
     double min_identity, size_t min_overlap) {
-  if (min_identity < 0.0 || min_identity > 1.0) {
-    return Status::InvalidArgument("min_identity must be in [0, 1]");
-  }
-  thread_local AlignScratch scratch;
-  std::vector<uint8_t> hits;
-  GENALG_RETURN_IF_ERROR(ResemblesLanes(rows, b.ToString(), min_identity,
-                                        min_overlap, &scratch, &hits));
-  return std::vector<bool>(hits.begin(), hits.end());
+  std::vector<std::pair<const seq::NucleotideSequence*,
+                        const seq::NucleotideSequence*>>
+      pairs;
+  pairs.reserve(rows.size());
+  for (const seq::NucleotideSequence* row : rows) pairs.emplace_back(row, &b);
+  GENALG_ASSIGN_OR_RETURN(
+      std::vector<SimilarityVerdict> verdicts,
+      BatchResembles(pairs, min_identity, min_overlap, CallingThread()));
+  std::vector<bool> hits(verdicts.size());
+  for (size_t k = 0; k < verdicts.size(); ++k) hits[k] = verdicts[k].hit;
+  return hits;
 }
 
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
                        double min_identity, size_t min_overlap) {
-  if (min_identity < 0.0 || min_identity > 1.0) {
-    return Status::InvalidArgument("min_identity must be in [0, 1]");
-  }
-  // The SQL operator calls this once per row: keep one scratch per
-  // thread, as the batch drivers do.
-  thread_local AlignScratch scratch;
-  const std::string chars_a = a.ToString();
-  const std::string chars_b = b.ToString();
   GENALG_ASSIGN_OR_RETURN(
-      SimilarityVerdict out,
-      ResemblesScreened(chars_a, chars_b, min_identity, min_overlap,
-                        &scratch));
-  return out.hit;
+      std::vector<SimilarityVerdict> verdict,
+      BatchResembles({{&a, &b}}, min_identity, min_overlap, CallingThread()));
+  return verdict[0].hit;
 }
 
 }  // namespace genalg::align

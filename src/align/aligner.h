@@ -71,37 +71,15 @@ Result<Alignment> LocalAlign(const seq::ProteinSequence& a,
                              const seq::ProteinSequence& b,
                              const GapPenalties& gaps = GapPenalties());
 
-/// Batched seed-and-extend verification: aligns `query` locally against
-/// `targets[i]` for every i, fanning the (independent) DP fills out over
-/// `pool` (nullptr ⇒ ThreadPool::Global()). Results are returned in
-/// target order and are identical to calling LocalAlign in a loop; with a
-/// size-1 pool that loop is exactly what runs. The intended callers pass
-/// the candidate documents ranked by KmerIndex::FindCandidates.
-Result<std::vector<Alignment>> BatchLocalAlign(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
-    const GapPenalties& gaps = GapPenalties(), ThreadPool* pool = nullptr);
-
-/// Batched `resembles`: evaluates Resembles(a, b) for every (a, b) pair
-/// over `pool`, returning verdicts in pair order (deterministic across
-/// pool sizes). Used by the warehouse integrator's content-matching
-/// stage and the mediator's similarity queries. Each pool worker keeps a
-/// thread-local AlignScratch, so steady-state evaluation allocates no DP
-/// memory.
-Result<std::vector<bool>> BatchResembles(
+/// The `resembles` verdict of every (a, b) pair, in pair order, with the
+/// identity and score of each hit's best local alignment: the one batch
+/// driver of the `resembles` engine (kernels.h ResemblesPairs), which runs
+/// its lane passes over `pool` (nullptr: ThreadPool::Global()). The
+/// verdicts are the same at every pool size. Used by the warehouse
+/// integrator's content matching and the mediator's similarity queries.
+Result<std::vector<SimilarityVerdict>> BatchResembles(
     const std::vector<std::pair<const seq::NucleotideSequence*,
                                 const seq::NucleotideSequence*>>& pairs,
-    double min_identity = 0.8, size_t min_overlap = 16,
-    ThreadPool* pool = nullptr);
-
-/// Batched similarity search: evaluates the `resembles` predicate of
-/// `query` against every target and reports identity + score for the
-/// hits — what Mediator::SimilarTo needs, without materializing gapped
-/// alignment strings for the (typical) majority of targets that miss.
-/// Scratch reuse and determinism match BatchResembles.
-Result<std::vector<SimilarityVerdict>> BatchSimilarity(
-    const seq::NucleotideSequence& query,
-    const std::vector<const seq::NucleotideSequence*>& targets,
     double min_identity = 0.8, size_t min_overlap = 16,
     ThreadPool* pool = nullptr);
 
@@ -109,21 +87,17 @@ Result<std::vector<SimilarityVerdict>> BatchSimilarity(
 /// alignment of the two sequences covers at least `min_overlap` bases and
 /// reaches at least `min_identity` (fraction in [0, 1]) over the aligned
 /// window. This is the user-defined predicate the Unifying Database
-/// registers for use inside SQL.
-///
-/// Evaluated in linear memory: a score floor derived from
-/// (min_identity, min_overlap) lets an early-exit score-only pass prove
-/// most negatives, and one LocalAlignStats pass decides the rest. The
-/// verdict is bit-identical to evaluating the full alignment directly.
+/// registers for use inside SQL. One pair of BatchResembles, on the
+/// calling thread: the scalar LocalAlignStats pass, in linear memory.
 Result<bool> Resembles(const seq::NucleotideSequence& a,
                        const seq::NucleotideSequence& b,
                        double min_identity = 0.8, size_t min_overlap = 16);
 
-/// Resembles(*rows[k], b, min_identity, min_overlap) for every k, the
-/// verdicts bit-identical, from the lane kernel (kernels.h): one shared
-/// pattern `b` against up to 8 (SSE2), 16 (AVX2) or 32 (AVX-512BW) rows
-/// per pass. The block form of the SQL operator, which udb's filter calls
-/// once per row block. Runs on the calling thread.
+/// Resembles(*rows[k], b, min_identity, min_overlap) for every k: the
+/// pairs (rows[k], b) of BatchResembles, whose lane passes then share the
+/// one pattern `b`, 8 (SSE2), 16 (AVX2) or 32 (AVX-512BW) rows per pass.
+/// The block form of the SQL operator, which udb's filter calls once per
+/// row block. Runs on the calling thread.
 Result<std::vector<bool>> ResemblesBlock(
     const seq::NucleotideSequence& b,
     const std::vector<const seq::NucleotideSequence*>& rows,

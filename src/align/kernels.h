@@ -5,11 +5,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "align/scoring.h"
 #include "base/result.h"
-#include "seq/nucleotide_sequence.h"
+#include "base/thread_pool.h"
 
 namespace genalg::align {
 
@@ -18,16 +19,17 @@ namespace genalg::align {
 /// in aligner.h spend O(n*m) memory on three int64 matrices, these kernels
 /// spend O(min(n, m)) on three int32 rows and return the *same* score,
 /// bit for bit (verified by the property sweep in align_kernels_test).
-/// They back every consumer that needs only a score or a thresholded
+/// They back every consumer that needs only a score or a `resembles`
 /// verdict — the `resembles` predicate, the mediator's similarity search,
 /// the warehouse integrator's content matching, and `align_score` in SQL.
 /// LocalAlignStats extends the same rows to the length and identity of
 /// the traced-back alignment, which is all `resembles` reads from it.
 
-/// Reusable per-worker DP scratch. All kernels (and the full-DP aligners,
-/// via their scratch overloads) carve their working memory out of one of
-/// these instead of allocating per call; batch drivers keep one per pool
-/// thread so steady-state alignment does no heap allocation at all.
+/// Reusable DP scratch. All kernels (and the full-DP aligners, via their
+/// scratch overloads) carve their working memory out of one of these, so a
+/// caller that runs many alignments allocates once. The lane driver keeps
+/// one per pass, local to its call, so no worker thread holds a pass's
+/// cells after the call returns.
 struct AlignScratch {
   // Rolling rows of the score-only kernels: M, X (gap in the inner
   // sequence) and max(M, X, Y) of the previous row.
@@ -42,12 +44,12 @@ struct AlignScratch {
   std::vector<StatsCell> stats_row;
   // Class-coded copies of the two inputs (the scoring profile operands).
   std::vector<uint8_t> codes_a, codes_b;
-  // The lane kernel's state and per-slot score tables: plain int16, read
-  // and written with unaligned vector loads and stores, so no vector type
+  // The lane kernel's cells and per-row scores: plain int16, read and
+  // written with unaligned vector loads and stores, so no vector type
   // ever lives in a std:: container.
   std::vector<int16_t> lanes;
-  // The rows ResemblesLanes decodes for the lane kernel, back to back.
-  std::string rows;
+  // The lane-major code and character planes of a pass's b sequences.
+  std::vector<uint8_t> planes;
   // Full-DP int64 arena borrowed by the traceback aligners.
   std::vector<int64_t> full_dp;
 };
@@ -72,11 +74,6 @@ class ScoringProfile {
   /// Row of the flat table for one residue class.
   const int32_t* Row(uint8_t cls) const {
     return table_.data() + static_cast<size_t>(cls) * width_;
-  }
-
-  /// Self-score of a class (the diagonal of the table).
-  int32_t SelfScore(uint8_t cls) const {
-    return table_[static_cast<size_t>(cls) * width_ + cls];
   }
 
   /// Class code of a character.
@@ -129,23 +126,28 @@ Result<AlignmentStats> LocalAlignStats(
     const GapPenalties& gaps = GapPenalties(),
     AlignScratch* scratch = nullptr);
 
-/// Rows the lane kernel of LocalAlignStatsBlock runs at once on this CPU:
+/// Rows the lane kernel of LocalAlignStatsPairs runs at once on this CPU:
 /// 32 int16 lanes with AVX-512BW, 16 with AVX2, else 8 (SSE2, the x86-64
 /// baseline). Chosen once per process with __builtin_cpu_supports.
 size_t StatsLanes();
 
-/// LocalAlignStats(rows[k], b) for every k, bit-identical, from an
+/// LocalAlignStats(a, b) for every (a, b) pair, bit-identical, from an
 /// inter-sequence kernel in the style of SWIPE (Rognes 2011): each int16
-/// lane of one vector runs one row `a` against the shared `b`, `lanes`
-/// rows per pass. `lanes` is 8, 16 (needs AVX2) or 32 (needs AVX-512BW),
-/// or 0 for StatsLanes(). A row outside the a-priori int16 bound (its
-/// score, or its length plus |b|, could pass about 16000) runs the scalar
-/// kernel.
-Result<std::vector<AlignmentStats>> LocalAlignStatsBlock(
-    const std::vector<std::string_view>& rows, std::string_view b,
+/// lane of one vector runs one pair, `lanes` pairs per pass, and the
+/// passes spread over `pool` (nullptr: ThreadPool::Global()). `lanes` is
+/// 8, 16 (needs AVX2) or 32 (needs AVX-512BW), or 0 for StatsLanes().
+/// Pairs that all share one `b` run against per-character score tables of
+/// `b`; other pairs need SubstitutionMatrix::Nucleotide scoring, whose
+/// score is one select on the intersection of the two IUPAC base sets. A
+/// pair outside the a-priori int16 bound (its score, or |a| + |b|, could
+/// pass about 16000), a pair the profile keeps out of the lanes (both
+/// counted in `align.kernel.lane_scalar_rows`), and a pair alone in its
+/// pass run the scalar kernel.
+Result<std::vector<AlignmentStats>> LocalAlignStatsPairs(
+    const std::vector<std::pair<std::string_view, std::string_view>>& pairs,
     const SubstitutionMatrix& scoring,
     const GapPenalties& gaps = GapPenalties(), size_t lanes = 0,
-    AlignScratch* scratch = nullptr);
+    ThreadPool* pool = nullptr);
 
 /// One `resembles` verdict: whether the pair passed the (min_identity,
 /// min_overlap) predicate, and if so the identity and score of its best
@@ -156,55 +158,17 @@ struct SimilarityVerdict {
   int64_t score = 0;
 };
 
-/// Decides the `resembles` predicate for one pair. The verdict is
-/// bit-identical to running the full local alignment and checking its
-/// length and identity; the kernels only change how cheaply it is
-/// reached:
-///   1. trivial rejects (empty inputs; shorter input cannot hold the
-///      identity matches the predicate demands);
-///   2. a score floor every qualifying alignment must reach, refuted in
-///      O(min(n, m)) memory by the early-terminating score-only kernel;
-///   3. pairs whose score clears the floor take one LocalAlignStats pass.
-/// Both inputs are class-coded once, for all three steps.
-Result<SimilarityVerdict> ResemblesScreened(std::string_view a,
-                                            std::string_view b,
-                                            double min_identity,
-                                            size_t min_overlap,
-                                            AlignScratch* scratch);
-
-/// ResemblesScreened(rows[k]->ToString(), b).hit for every k, into
-/// `hits`: the same trivial rejects per row, then LocalAlignStatsBlock's
-/// lane kernel for the rest, which alone are decoded (into
-/// scratch->rows). The score-floor screen is skipped — it is sound, so it
-/// never changes a verdict, and it rejects nothing at the default
-/// predicate.
-Status ResemblesLanes(const std::vector<const seq::NucleotideSequence*>& rows,
-                      std::string_view b, double min_identity,
-                      size_t min_overlap, AlignScratch* scratch,
-                      std::vector<uint8_t>* hits);
-
-/// Thresholded local score with early termination: returns true iff
-/// LocalAlignScore(a, b) >= threshold, but stops filling rows as soon as
-/// the running maximum reaches the threshold, or as soon as the largest
-/// score any remaining row could still contribute can no longer reach it.
-Result<bool> LocalScoreReaches(std::string_view a, std::string_view b,
-                               const SubstitutionMatrix& scoring,
-                               const GapPenalties& gaps, int64_t threshold,
-                               AlignScratch* scratch = nullptr);
-
-/// Smallest local-alignment score any alignment satisfying the
-/// `resembles` predicate (identity >= min_identity over >= min_overlap
-/// columns) can have, given the characters actually present in the two
-/// inputs; 0 when no useful bound exists. A best-local score strictly
-/// below this floor therefore proves the predicate false without any
-/// traceback. Returns INT64_MAX when the predicate is unsatisfiable
-/// outright (min_identity > 0 but the inputs share no residue class, so
-/// no alignment column can ever count as an identity match).
-int64_t ResemblesScoreFloor(const ScoringProfile& profile,
-                            const GapPenalties& gaps, double min_identity,
-                            size_t min_overlap,
-                            const std::vector<uint8_t>& codes_a,
-                            const std::vector<uint8_t>& codes_b);
+/// The `resembles` engine: the verdict of every (a, b) pair under
+/// SubstitutionMatrix::Nucleotide() and the default gaps, bit-identical to
+/// running the full local alignment and checking its length and identity.
+/// `min_identity` outside [0, 1] is InvalidArgument. Pairs that an empty
+/// input or the predicate's arithmetic decide (the shorter input cannot
+/// hold the identity matches it demands) take no kernel; the rest take
+/// LocalAlignStatsPairs' passes over `pool` (nullptr:
+/// ThreadPool::Global()), counted in `align.resembles.confirm_dps`.
+Result<std::vector<SimilarityVerdict>> ResemblesPairs(
+    const std::vector<std::pair<std::string_view, std::string_view>>& pairs,
+    double min_identity, size_t min_overlap, ThreadPool* pool = nullptr);
 
 }  // namespace genalg::align
 

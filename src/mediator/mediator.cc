@@ -110,16 +110,18 @@ Result<std::vector<Mediator::SimilarityHit>> Mediator::SimilarTo(
   for (SourceWrapper& wrapper : wrappers_) {
     GENALG_ASSIGN_OR_RETURN(std::vector<SequenceRecord> shipped,
                             wrapper.ExtractAll());
-    std::vector<const seq::NucleotideSequence*> targets;
-    targets.reserve(shipped.size());
+    std::vector<std::pair<const seq::NucleotideSequence*,
+                          const seq::NucleotideSequence*>>
+        pairs;
+    pairs.reserve(shipped.size());
     for (const SequenceRecord& record : shipped) {
-      targets.push_back(&record.sequence);
+      pairs.emplace_back(&query, &record.sequence);
     }
     // Verification fans out over the global pool; hits are collected in
     // shipping order, so the result is identical to the serial loop.
     GENALG_ASSIGN_OR_RETURN(
         std::vector<align::SimilarityVerdict> verdicts,
-        align::BatchSimilarity(query, targets, min_identity, min_overlap));
+        align::BatchResembles(pairs, min_identity, min_overlap));
     for (size_t i = 0; i < shipped.size(); ++i) {
       if (!verdicts[i].hit) continue;
       hits.push_back(SimilarityHit{std::move(shipped[i]),

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -207,7 +208,19 @@ TEST(KernelTest, LocalStatsMatchTracebackPropertySweep) {
 
 // ------------------------------------------------- Lane kernel == scalar.
 
-// LocalAlignStatsBlock at `lanes` lanes against LocalAlignStats on every
+// LocalAlignStatsPairs on the pairs (rows[k], b), which share one b.
+Result<std::vector<AlignmentStats>> StatsBlock(
+    const std::vector<std::string>& rows, std::string_view b,
+    const SubstitutionMatrix& scoring, const GapPenalties& gaps,
+    size_t lanes) {
+  std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  for (const std::string& row : rows) pairs.emplace_back(row, b);
+  ThreadPool serial(1);
+  return LocalAlignStatsPairs(pairs, scoring, gaps, lanes, &serial);
+}
+
+// The shared form of LocalAlignStatsPairs at `lanes` lanes against
+// LocalAlignStats on every
 // row: random DNA, IUPAC and protein rows, shorter than 80 characters at
 // the block sizes `counts` (around the lane counts) and of 300-700
 // characters at the 32-lane block sizes, then the tie-heavy pairs, every
@@ -216,14 +229,11 @@ TEST(KernelTest, LocalStatsMatchTracebackPropertySweep) {
 void ExpectLanesMatchScalar(size_t lanes,
                             std::initializer_list<size_t> counts) {
   Rng rng(2026);
-  AlignScratch scratch;
   const auto check = [&](const std::vector<std::string>& rows,
                          const std::string& b,
                          const SubstitutionMatrix& scoring,
                          const GapPenalties& gaps) {
-    const std::vector<std::string_view> views(rows.begin(), rows.end());
-    auto block =
-        LocalAlignStatsBlock(views, b, scoring, gaps, lanes, &scratch);
+    auto block = StatsBlock(rows, b, scoring, gaps, lanes);
     ASSERT_TRUE(block.ok()) << block.status().ToString();
     ASSERT_EQ(block->size(), rows.size());
     for (size_t k = 0; k < rows.size(); ++k) {
@@ -309,7 +319,6 @@ TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
                                rng.RandomDna(8001 - near.size());
   const std::vector<std::string> rows = {near, long_row, rng.RandomDna(50),
                                          b, long_row.substr(0, 900)};
-  const std::vector<std::string_view> views(rows.begin(), rows.end());
   struct Case {
     SubstitutionMatrix scoring;
     uint64_t scalar;
@@ -322,8 +331,7 @@ TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
   for (size_t lanes = 8; lanes <= StatsLanes(); lanes *= 2) {
     for (const Case& c : cases) {
       const uint64_t before = scalar_rows->value();
-      auto block = LocalAlignStatsBlock(views, b, c.scoring, GapPenalties(),
-                                        lanes);
+      auto block = StatsBlock(rows, b, c.scoring, GapPenalties(), lanes);
       ASSERT_TRUE(block.ok());
       EXPECT_EQ(scalar_rows->value() - before, c.scalar);
       for (size_t k = 0; k < rows.size(); ++k) {
@@ -341,12 +349,117 @@ TEST(KernelTest, LaneStatsRouteRowsPastTheInt16BoundToScalar) {
   EXPECT_EQ(ResemblesBlock(pattern, {&row}).value(),
             std::vector<bool>{Resembles(row, pattern).value()});
   for (size_t unsupported : {size_t{4}, size_t{12}, 2 * StatsLanes()}) {
-    EXPECT_FALSE(LocalAlignStatsBlock(views, b,
-                                      SubstitutionMatrix::Nucleotide(),
-                                      GapPenalties(), unsupported)
+    EXPECT_FALSE(StatsBlock(rows, b, SubstitutionMatrix::Nucleotide(),
+                            GapPenalties(), unsupported)
                      .ok())
         << unsupported;
   }
+}
+
+// LocalAlignStatsPairs at `lanes` lanes on pairs whose a and b both
+// differ from lane to lane, against LocalAlignStats on every pair. Each
+// side is 1-700 characters of plain DNA, IUPAC codes with '-' and invalid
+// characters, DNA with an N run, a homopolymer or a tandem repeat; half of
+// the b's are mutated copies of part of their a, so most lanes align long
+// and end on ties. Each pass size also gets one empty pair and, at the
+// larger sizes, two pairs past the int16 bound, which must run the scalar
+// kernel and count in align.kernel.lane_scalar_rows.
+void ExpectPairLanesMatchScalar(size_t lanes) {
+  Rng rng(2029);
+  obs::Counter* scalar_rows =
+      obs::Registry::Global().GetCounter("align.kernel.lane_scalar_rows");
+  const auto draw = [&](size_t n) -> std::string {
+    switch (rng.Uniform(5)) {
+      case 0:
+        return rng.RandomString(n, kDna);
+      case 1:
+        return rng.RandomString(n, kIupac);
+      case 2: {
+        std::string s = rng.RandomDna(n);
+        const size_t at = rng.Uniform(n);
+        std::fill_n(s.begin() + at, std::min(n - at, 1 + rng.Uniform(60)),
+                    'N');
+        return s;
+      }
+      case 3:
+        return std::string(n, rng.Pick(kDna));
+      default: {
+        const std::string unit = rng.RandomString(1 + rng.Uniform(3), kDna);
+        std::string s;
+        while (s.size() < n) s += unit;
+        return s.substr(0, n);
+      }
+    }
+  };
+  const auto mutate = [&](std::string s) {
+    std::string out;
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (rng.Bernoulli(0.03)) continue;  // Deletion.
+      if (rng.Bernoulli(0.03)) {
+        out += rng.RandomString(1 + rng.Uniform(4), kDna);  // Insertion.
+      }
+      out.push_back(rng.Bernoulli(0.08) ? rng.Pick("ACGTN-") : s[i]);
+    }
+    return out.empty() ? s : out;
+  };
+  const SubstitutionMatrix scorings[] = {SubstitutionMatrix::Nucleotide(),
+                                         SubstitutionMatrix::Nucleotide(1, -1)};
+  ThreadPool serial(1);
+  size_t round = 0;
+  for (const SubstitutionMatrix& scoring : scorings) {
+    for (size_t count : {1, 31, 32, 33, 64, 65}) {
+      const GapPenalties gaps = kGapGrid[round++ % std::size(kGapGrid)];
+      std::vector<std::pair<std::string, std::string>> store;
+      for (size_t k = 0; k < count; ++k) {
+        std::string a = draw(1 + rng.Uniform(700));
+        std::string b = k % 2 == 0
+                            ? mutate(a.substr(rng.Uniform(a.size())))
+                            : draw(1 + rng.Uniform(700));
+        store.emplace_back(std::move(a), std::move(b));
+      }
+      uint64_t past_bound = 0;
+      if (count > 1) {
+        store.emplace_back("", draw(1 + rng.Uniform(50)));
+        const std::string b = rng.RandomDna(40);
+        store.emplace_back(rng.RandomDna(16001 - b.size()) + b, b);
+        store.emplace_back(b, rng.RandomDna(20000));
+        past_bound = 2;
+      }
+      std::vector<std::pair<std::string_view, std::string_view>> pairs(
+          store.begin(), store.end());
+      const uint64_t before = scalar_rows->value();
+      auto stats = LocalAlignStatsPairs(pairs, scoring, gaps, lanes, &serial);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(scalar_rows->value() - before, past_bound) << count;
+      ASSERT_EQ(stats->size(), pairs.size());
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        const auto& [a, b] = store[k];
+        const AlignmentStats scalar =
+            LocalAlignStats(a, b, scoring, gaps).value();
+        const AlignmentStats& lane = (*stats)[k];
+        EXPECT_EQ(lane.score, scalar.score)
+            << "lanes=" << lanes << " count=" << count << " pair " << k
+            << " a=" << a << " b=" << b << " open=" << gaps.open
+            << " extend=" << gaps.extend;
+        EXPECT_EQ(lane.length, scalar.length)
+            << "lanes=" << lanes << " count=" << count << " pair " << k;
+        EXPECT_EQ(lane.identities, scalar.identities)
+            << "lanes=" << lanes << " count=" << count << " pair " << k;
+      }
+    }
+  }
+}
+
+TEST(KernelTest, PairLanesMatchScalarSse2) { ExpectPairLanesMatchScalar(8); }
+
+TEST(KernelTest, PairLanesMatchScalarAvx2) {
+  if (StatsLanes() < 16) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectPairLanesMatchScalar(16);
+}
+
+TEST(KernelTest, PairLanesMatchScalarAvx512) {
+  if (StatsLanes() < 32) GTEST_SKIP() << "this CPU has no AVX-512BW";
+  ExpectPairLanesMatchScalar(32);
 }
 
 TEST(KernelTest, ResemblesBlockMatchesResemblesPerRow) {
@@ -396,31 +509,7 @@ TEST(KernelTest, ResemblesBlockMatchesResemblesPerRow) {
   EXPECT_FALSE(ResemblesBlock(pattern, rows, -0.1, 0).ok());
 }
 
-// ----------------------------------------------------- Early termination.
-
-TEST(KernelTest, ReachesAgreesWithExactScoreAcrossThresholds) {
-  Rng rng(23);
-  AlignScratch scratch;
-  const auto& nuc = SubstitutionMatrix::Nucleotide();
-  for (const GapPenalties& gaps : kGapGrid) {
-    for (int trial = 0; trial < 12; ++trial) {
-      const std::string a = rng.RandomString(rng.Uniform(50), kIupac);
-      const std::string b = rng.RandomString(rng.Uniform(50), kIupac);
-      const int64_t exact = LocalAlignScore(a, b, nuc, gaps).value();
-      const int64_t probes[] = {-3, 0, 1,         exact - 2, exact - 1,
-                                exact, exact + 1, exact + 2, exact + 100};
-      for (int64_t threshold : probes) {
-        auto reached =
-            LocalScoreReaches(a, b, nuc, gaps, threshold, &scratch);
-        ASSERT_TRUE(reached.ok());
-        EXPECT_EQ(*reached, exact >= threshold)
-            << "a=" << a << " b=" << b << " threshold=" << threshold;
-      }
-    }
-  }
-}
-
-// ------------------------------------------- Resembles screen soundness.
+// ------------------------------------------ Resembles == full alignment.
 
 // Reference implementation: the pre-kernel slow path.
 Result<bool> ResemblesByFullAlignment(const NucleotideSequence& a,
@@ -487,6 +576,10 @@ TEST(KernelTest, ResemblesEdgeVerdicts) {
 
 // --------------------------------------------------------- Batch drivers.
 
+// Every verdict of BatchResembles, hit or miss, against the full
+// alignment: pairs among mutated copies, then one query as `a` against
+// targets that hold mutated parts of it, as Mediator::SimilarTo pairs
+// them. Every pool size gives the same verdicts.
 TEST(KernelTest, BatchResemblesIdenticalAcrossPoolSizes) {
   Rng rng(41);
   std::vector<NucleotideSequence> store;
@@ -500,37 +593,8 @@ TEST(KernelTest, BatchResemblesIdenticalAcrossPoolSizes) {
     }
     store.push_back(NucleotideSequence::Dna(s).value());
   }
-  std::vector<std::pair<const NucleotideSequence*,
-                        const NucleotideSequence*>>
-      pairs;
-  for (size_t i = 0; i < store.size(); ++i) {
-    for (size_t j = i + 1; j < store.size(); j += 3) {
-      pairs.emplace_back(&store[i], &store[j]);
-    }
-  }
-  ThreadPool serial(1);
-  auto baseline = BatchResembles(pairs, 0.8, 16, &serial);
-  ASSERT_TRUE(baseline.ok());
-  // The serial batch equals the one-call-at-a-time loop...
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ((*baseline)[p],
-              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16).value());
-  }
-  // ...and every pool size reproduces it, with per-worker scratch reuse.
-  for (size_t threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool);
-      ASSERT_TRUE(verdicts.ok());
-      EXPECT_EQ(*verdicts, *baseline) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(KernelTest, BatchSimilarityMatchesDirectLoop) {
-  Rng rng(43);
-  auto query = NucleotideSequence::Dna(rng.RandomDna(150)).value();
-  std::vector<NucleotideSequence> store;
+  const auto query = NucleotideSequence::Dna(rng.RandomDna(150)).value();
+  std::vector<NucleotideSequence> targets;
   for (int i = 0; i < 16; ++i) {
     std::string s;
     if (i % 2 == 0) {
@@ -542,26 +606,66 @@ TEST(KernelTest, BatchSimilarityMatchesDirectLoop) {
     } else {
       s = rng.RandomDna(120);
     }
-    store.push_back(NucleotideSequence::Dna(s).value());
+    targets.push_back(NucleotideSequence::Dna(s).value());
   }
-  std::vector<const NucleotideSequence*> targets;
-  for (const auto& s : store) targets.push_back(&s);
-  for (size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    auto verdicts = BatchSimilarity(query, targets, 0.8, 16, &pool);
-    ASSERT_TRUE(verdicts.ok());
-    ASSERT_EQ(verdicts->size(), targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) {
-      Alignment full = LocalAlign(query, *targets[i]).value();
-      const bool hit =
-          full.Length() >= 16 && full.Identity() >= 0.8;
-      EXPECT_EQ((*verdicts)[i].hit, hit) << "target " << i;
-      if (hit) {
-        EXPECT_DOUBLE_EQ((*verdicts)[i].identity, full.Identity());
-        EXPECT_EQ((*verdicts)[i].score, full.score);
-      }
+  std::vector<std::pair<const NucleotideSequence*,
+                        const NucleotideSequence*>>
+      pairs;
+  for (size_t i = 0; i < store.size(); ++i) {
+    for (size_t j = i + 1; j < store.size(); j += 3) {
+      pairs.emplace_back(&store[i], &store[j]);
     }
   }
+  for (const NucleotideSequence& target : targets) {
+    pairs.emplace_back(&query, &target);
+  }
+  const auto same = [](const std::vector<SimilarityVerdict>& x,
+                       const std::vector<SimilarityVerdict>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t p = 0; p < x.size(); ++p) {
+      if (x[p].hit != y[p].hit || x[p].identity != y[p].identity ||
+          x[p].score != y[p].score) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ThreadPool serial(1);
+  auto baseline = BatchResembles(pairs, 0.8, 16, &serial);
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_EQ(baseline->size(), pairs.size());
+  size_t hits = 0;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const Alignment full = LocalAlign(*pairs[p].first, *pairs[p].second)
+                               .value();
+    const bool hit = full.Length() >= 16 && full.Identity() >= 0.8;
+    const SimilarityVerdict& verdict = (*baseline)[p];
+    EXPECT_EQ(verdict.hit, hit) << "pair " << p;
+    EXPECT_EQ(verdict.hit,
+              Resembles(*pairs[p].first, *pairs[p].second, 0.8, 16).value())
+        << "pair " << p;
+    if (hit) {
+      ++hits;
+      EXPECT_DOUBLE_EQ(verdict.identity, full.Identity()) << "pair " << p;
+      EXPECT_EQ(verdict.score, full.score) << "pair " << p;
+    } else {
+      EXPECT_EQ(verdict.identity, 0.0) << "pair " << p;
+      EXPECT_EQ(verdict.score, 0) << "pair " << p;
+    }
+  }
+  EXPECT_GE(hits, 8u);
+  EXPECT_LT(hits, pairs.size());
+  for (size_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      auto verdicts = BatchResembles(pairs, 0.8, 16, &pool);
+      ASSERT_TRUE(verdicts.ok());
+      EXPECT_TRUE(same(*verdicts, *baseline)) << "threads=" << threads;
+    }
+  }
+  EXPECT_FALSE(BatchResembles(pairs, 1.5, 16, &serial).ok());
+  EXPECT_FALSE(BatchResembles(pairs, -0.1, 16, &serial).ok());
+  EXPECT_FALSE(BatchResembles({}, 1.5, 16, &serial).ok());
 }
 
 TEST(KernelTest, ScratchReuseDoesNotLeakStateAcrossCalls) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <numeric>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "algebra/signature.h"
+#include "align/aligner.h"
 #include "base/rng.h"
 #include "etl/diff.h"
 #include "etl/integrator.h"
@@ -19,6 +24,7 @@ namespace genalg::etl {
 namespace {
 
 using formats::SequenceRecord;
+using align::Alignment;
 using formats::TreeNode;
 using seq::NucleotideSequence;
 
@@ -616,6 +622,116 @@ TEST(ParallelEtlDeterminismTest, FullReloadIdenticalAcrossPoolSizes) {
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(run(&pool), serial_xml) << "threads=" << threads;
+  }
+}
+
+// Stage 2 on near-duplicates planted across sources: a chain A~B, B~C
+// whose ends A and C do not resemble each other, a pair above the
+// integrator's 0.95 identity threshold and one just below it, among
+// unrelated records. The merged groups must be the connected components
+// of `resembles` run on every pair, and the warehouse dump the same at
+// every pool size.
+TEST(ParallelEtlDeterminismTest, StageTwoMergesPlantedNearDuplicates) {
+  Rng rng(541);
+  const std::string spine = rng.RandomDna(600);
+  // A copy of `s` with a substitution every `period` bases.
+  const auto every = [](std::string s, size_t period) {
+    for (size_t i = period / 2; i < s.size(); i += period) {
+      s[i] = s[i] == 'A' ? 'C' : 'A';
+    }
+    return s;
+  };
+  const std::string above = rng.RandomDna(300);
+  const std::string below = rng.RandomDna(200);
+  std::vector<SequenceRecord> records = {
+      MakeRecord("CHAIN_A", spine.substr(0, 400), "DB_A"),
+      MakeRecord("CHAIN_B", spine.substr(150, 400), "DB_B"),
+      MakeRecord("CHAIN_C", spine.substr(450) + rng.RandomDna(250), "DB_C"),
+      MakeRecord("ABOVE_1", above, "DB_A"),
+      MakeRecord("ABOVE_2", every(above, 25), "DB_C"),  // 96% identical.
+      MakeRecord("BELOW_1", below, "DB_B"),
+      MakeRecord("BELOW_2", every(below, 19), "DB_A"),  // 94.7% identical.
+  };
+  for (int k = 0; k < 6; ++k) {
+    records.push_back(MakeRecord("NOISE_" + std::to_string(k),
+                                 rng.RandomDna(250 + rng.Uniform(200)),
+                                 k % 2 == 0 ? "DB_B" : "DB_C"));
+  }
+  const Integrator::Options defaults;
+  // The oracle: union-find over `resembles` on every pair.
+  std::vector<size_t> root(records.size());
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&](size_t x) {
+    while (root[x] != x) x = root[x];
+    return x;
+  };
+  for (size_t i = 0; i < records.size(); ++i) {
+    for (size_t j = i + 1; j < records.size(); ++j) {
+      if (align::Resembles(records[i].sequence, records[j].sequence,
+                           defaults.min_identity, defaults.min_overlap)
+              .value()) {
+        root[find(i)] = find(j);
+      }
+    }
+  }
+  std::set<std::set<std::string>> expected;
+  std::map<size_t, std::set<std::string>> by_root;
+  for (size_t i = 0; i < records.size(); ++i) {
+    by_root[find(i)].insert(records[i].accession);
+  }
+  for (auto& [r, group] : by_root) expected.insert(group);
+  // The planted shape holds: the chain is one group only through B, the
+  // pair above the threshold merges and the pair below does not.
+  EXPECT_FALSE(align::Resembles(records[0].sequence, records[2].sequence,
+                                defaults.min_identity, defaults.min_overlap)
+                   .value());
+  EXPECT_TRUE(expected.count({"CHAIN_A", "CHAIN_B", "CHAIN_C"}));
+  EXPECT_TRUE(expected.count({"ABOVE_1", "ABOVE_2"}));
+  EXPECT_TRUE(expected.count({"BELOW_1"}));
+  EXPECT_TRUE(expected.count({"BELOW_2"}));
+  const Alignment near =
+      align::LocalAlign(records[5].sequence, records[6].sequence).value();
+  EXPECT_GT(near.Identity(), 0.94);
+  EXPECT_LT(near.Identity(), defaults.min_identity);
+
+  std::string serial_xml;
+  for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    Integrator::Options options;
+    options.pool = &pool;
+    auto entries = Integrator(options).Reconcile(records);
+    ASSERT_TRUE(entries.ok());
+    std::set<std::set<std::string>> groups;
+    for (const ReconciledEntry& e : *entries) {
+      std::set<std::string> group = {e.canonical.accession};
+      auto synonyms = e.canonical.attributes.find("also_known_as");
+      if (synonyms != e.canonical.attributes.end()) {
+        std::stringstream list(synonyms->second);
+        for (std::string id; std::getline(list, id, ',');) group.insert(id);
+      }
+      groups.insert(group);
+    }
+    EXPECT_EQ(groups, expected) << "threads=" << threads;
+
+    algebra::SignatureRegistry algebra;
+    ASSERT_TRUE(algebra::RegisterStandardAlgebra(&algebra).ok());
+    udb::Adapter adapter(&algebra);
+    ASSERT_TRUE(udb::RegisterStandardUdts(&adapter).ok());
+    udb::Database db(&adapter);
+    Warehouse warehouse(&db, options);
+    ASSERT_TRUE(warehouse.InitSchema().ok());
+    ASSERT_TRUE(warehouse.LoadBatch(records).ok());
+    auto xml = warehouse.ExportGenAlgXml();
+    ASSERT_TRUE(xml.ok());
+    if (threads == 1) {
+      // Merged entities leave the public space; unmerged ones stay.
+      serial_xml = *xml;
+      EXPECT_EQ(serial_xml.find("CHAIN_C"), std::string::npos);
+      EXPECT_EQ(serial_xml.find("ABOVE_2"), std::string::npos);
+      EXPECT_NE(serial_xml.find("BELOW_2"), std::string::npos);
+    } else {
+      EXPECT_EQ(*xml, serial_xml) << "threads=" << threads;
+    }
   }
 }
 

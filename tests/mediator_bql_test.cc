@@ -107,6 +107,20 @@ TEST_F(MediatorTest, SimilarToRanksbyScore) {
   EXPECT_GE((*hits)[0].score, (*hits)[1].score);
 }
 
+TEST_F(MediatorTest, SimilarToRejectsIdentityOutsideUnitRange) {
+  const auto query = src_a_.AllRecords()[0].sequence;
+  for (double min_identity : {1.5, -0.1}) {
+    auto hits = mediator_.SimilarTo(query, min_identity, 16);
+    ASSERT_FALSE(hits.ok()) << min_identity;
+    EXPECT_TRUE(hits.status().IsInvalidArgument()) << min_identity;
+  }
+  // The ends of the range are valid, and the query finds itself.
+  EXPECT_TRUE(mediator_.SimilarTo(query, 0.0, 16).ok());
+  auto exact = mediator_.SimilarTo(query, 1.0, 16);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_FALSE(exact->empty());
+}
+
 TEST_F(MediatorTest, ConflictsAreExposedNotResolved) {
   // The same accession with different content in two sources: the
   // mediator returns both and picks arbitrarily for point lookups (C8).
