@@ -1,10 +1,12 @@
-// Parallel-scaling trajectory: measures the three pooled hot paths —
-// KmerIndex::Build, EtlPipeline::InitialLoad, and batched seed-and-extend
-// (BatchResembles over KmerIndex candidates) — at 1/2/4/8 threads and
-// writes the measurements to BENCH_parallel_scaling.json in the repo
-// root. Speedups are relative to the 1-thread run of the same path; on a
-// single-core host every ratio degenerates to ~1, so the JSON also
-// records hardware_concurrency to make such runs self-describing.
+// Parallel-scaling trajectory: measures the two pooled hot paths —
+// EtlPipeline::InitialLoad and batched seed-and-extend (BatchResembles
+// over KmerIndex candidates) — at 1/2/4/8 threads, plus the serial
+// KmerIndex::Build (median and IQR over its reps), and writes the
+// measurements to BENCH_parallel_scaling.json in the repo root. Speedups
+// are relative to the 1-thread run of the same path; the JSON records
+// nproc, the lane ISA and the compiler to make each run self-describing.
+// Seed-and-extend also records the lane passes its call fills: a call
+// that fills fewer passes than the pool has threads cannot scale.
 //
 // Unlike the figure benchmarks this one drives explicit ThreadPool
 // instances instead of GENALG_THREADS, so one process sweeps every size.
@@ -13,13 +15,16 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/aligner.h"
+#include "align/kernels.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "bench_util.h"
 #include "index/kmer_index.h"
+#include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
 
 namespace genalg::bench {
@@ -29,14 +34,9 @@ using seq::NucleotideSequence;
 
 constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
 
-double MedianMs(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-// Runs `body` a few times and returns the median wall-clock milliseconds.
+// Wall-clock milliseconds of each of `repeats` runs of `body`.
 template <typename Fn>
-double TimeMs(int repeats, Fn&& body) {
+std::vector<double> SampleMs(int repeats, Fn&& body) {
   std::vector<double> samples;
   samples.reserve(repeats);
   for (int r = 0; r < repeats; ++r) {
@@ -46,7 +46,19 @@ double TimeMs(int repeats, Fn&& body) {
     samples.push_back(
         std::chrono::duration<double, std::milli>(stop - start).count());
   }
-  return MedianMs(std::move(samples));
+  std::sort(samples.begin(), samples.end());
+  return samples;
+}
+
+// The sample at quantile q of sorted `samples`.
+double At(const std::vector<double>& samples, double q) {
+  return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+}
+
+// Runs `body` a few times and returns the median wall-clock milliseconds.
+template <typename Fn>
+double TimeMs(int repeats, Fn&& body) {
+  return At(SampleMs(repeats, body), 0.5);
 }
 
 std::vector<NucleotideSequence> MakeIndexCorpus(size_t docs, size_t len) {
@@ -59,10 +71,13 @@ std::vector<NucleotideSequence> MakeIndexCorpus(size_t docs, size_t len) {
   return corpus;
 }
 
-double BenchIndexBuild(ThreadPool* pool,
-                       const std::vector<NucleotideSequence>& corpus) {
-  return TimeMs(3, [&] {
-    auto idx = index::KmerIndex::Build(corpus, 13, pool).value();
+constexpr int kBuildReps = 15;
+
+// The serial build's sorted per-rep milliseconds.
+std::vector<double> BenchIndexBuild(
+    const std::vector<NucleotideSequence>& corpus) {
+  return SampleMs(kBuildReps, [&] {
+    auto idx = index::KmerIndex::Build(corpus, 13).value();
     if (idx.k() != 13) abort();
   });
 }
@@ -81,9 +96,10 @@ double BenchInitialLoad(ThreadPool* pool) {
   });
 }
 
+// Returns the median ms; `*passes` gets the lane passes one call fills.
 double BenchSeedAndExtend(ThreadPool* pool,
                           const std::vector<NucleotideSequence>& corpus,
-                          const index::KmerIndex& idx) {
+                          const index::KmerIndex& idx, size_t* passes) {
   // A noisy read seeded against the index; every ranked candidate is
   // verified by the `resembles` engine, whose lane passes spread over the
   // pool.
@@ -98,6 +114,15 @@ double BenchSeedAndExtend(ThreadPool* pool,
   for (const auto& candidate : candidates) {
     pairs.emplace_back(&query, &corpus[candidate.doc]);
   }
+  obs::Counter* confirm_dps =
+      obs::Registry::Global().GetCounter("align.resembles.confirm_dps");
+  const uint64_t before = confirm_dps->value();
+  (void)align::BatchResembles(pairs, 0.8, 16, pool).value();
+  // The pairs that reach a stats pass, packed StatsLanes() a pass; a lone
+  // last pair runs scalar.
+  const size_t lanes = align::StatsLanes();
+  const size_t stats_pairs = confirm_dps->value() - before;
+  *passes = stats_pairs / lanes + (stats_pairs % lanes > 1 ? 1 : 0);
   return TimeMs(3, [&] {
     auto verdicts = align::BatchResembles(pairs, 0.8, 16, pool).value();
     // The read's home document must be found.
@@ -117,6 +142,14 @@ struct PathResult {
 }  // namespace
 }  // namespace genalg::bench
 
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
 int main(int argc, char** argv) {
   using namespace genalg::bench;
 
@@ -129,26 +162,25 @@ int main(int argc, char** argv) {
                                    "/BENCH_parallel_scaling.json";
 
   auto corpus = MakeIndexCorpus(192, 2000);
-  genalg::ThreadPool warm(1);
-  auto idx = genalg::index::KmerIndex::Build(corpus, 13, &warm).value();
+  auto idx = genalg::index::KmerIndex::Build(corpus, 13).value();
 
   // Untimed warmup so the first timed configuration does not absorb
   // allocator growth and page-fault costs on behalf of the others.
-  BenchIndexBuild(&warm, corpus);
+  genalg::ThreadPool warm(1);
+  size_t passes = 0;
   BenchInitialLoad(&warm);
-  BenchSeedAndExtend(&warm, corpus, idx);
+  BenchSeedAndExtend(&warm, corpus, idx, &passes);
 
-  PathResult paths[] = {{"kmer_index_build", {}},
-                        {"etl_initial_load", {}},
-                        {"seed_and_extend", {}}};
+  const std::vector<double> build = BenchIndexBuild(corpus);
+  std::printf("build (serial, %d reps): median=%.2fms iqr=%.2fms\n",
+              kBuildReps, At(build, 0.5), At(build, 0.75) - At(build, 0.25));
+  PathResult paths[] = {{"etl_initial_load", {}}, {"seed_and_extend", {}}};
   for (size_t t = 0; t < 4; ++t) {
     genalg::ThreadPool pool(kThreadSweep[t]);
-    paths[0].ms[t] = BenchIndexBuild(&pool, corpus);
-    paths[1].ms[t] = BenchInitialLoad(&pool);
-    paths[2].ms[t] = BenchSeedAndExtend(&pool, corpus, idx);
-    std::printf("threads=%zu  build=%.2fms  load=%.2fms  extend=%.2fms\n",
-                kThreadSweep[t], paths[0].ms[t], paths[1].ms[t],
-                paths[2].ms[t]);
+    paths[0].ms[t] = BenchInitialLoad(&pool);
+    paths[1].ms[t] = BenchSeedAndExtend(&pool, corpus, idx, &passes);
+    std::printf("threads=%zu  load=%.2fms  extend=%.2fms (%zu passes)\n",
+                kThreadSweep[t], paths[0].ms[t], paths[1].ms[t], passes);
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -156,14 +188,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  const size_t lanes = genalg::align::StatsLanes();
   std::fprintf(out, "{\n  \"benchmark\": \"parallel_scaling\",\n");
-  std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(out,
+               "  \"machine\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"lane_isa\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), kCompiler,
+               lanes == 32 ? "avx512bw" : lanes == 16 ? "avx2" : "sse2");
   std::fprintf(out, "  \"corpus\": {\"docs\": 192, \"doc_len\": 2000, "
-                    "\"sources\": 8, \"records_per_source\": 24},\n");
+                    "\"k\": 13, \"sources\": 8, "
+                    "\"records_per_source\": 24},\n");
+  std::fprintf(out,
+               "  \"kmer_index_build\": {\"threads\": 1, \"reps\": %d, "
+               "\"median_ms\": %.3f, \"iqr_ms\": %.3f},\n",
+               kBuildReps, At(build, 0.5), At(build, 0.75) - At(build, 0.25));
   std::fprintf(out, "  \"paths\": [\n");
-  for (size_t p = 0; p < 3; ++p) {
-    std::fprintf(out, "    {\"name\": \"%s\", \"runs\": [", paths[p].name);
+  for (size_t p = 0; p < 2; ++p) {
+    std::fprintf(out, "    {\"name\": \"%s\", ", paths[p].name);
+    if (p == 1) {
+      std::fprintf(out, "\"lanes\": %zu, \"lane_passes_per_call\": %zu, ",
+                   lanes, passes);
+    }
+    std::fprintf(out, "\"runs\": [");
     for (size_t t = 0; t < 4; ++t) {
       std::fprintf(
           out,
@@ -171,7 +217,7 @@ int main(int argc, char** argv) {
           t == 0 ? "" : ", ", kThreadSweep[t], paths[p].ms[t],
           paths[p].ms[t] > 0 ? paths[p].ms[0] / paths[p].ms[t] : 0.0);
     }
-    std::fprintf(out, "]}%s\n", p + 1 < 3 ? "," : "");
+    std::fprintf(out, "]}%s\n", p + 1 < 2 ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -125,7 +125,7 @@ Result<std::vector<ReconciledEntry>> Integrator::Reconcile(
     }
     GENALG_ASSIGN_OR_RETURN(
         index::KmerIndex kmer_index,
-        index::KmerIndex::Build(corpus, options_.kmer_k, pool));
+        index::KmerIndex::Build(corpus, options_.kmer_k));
     // Seeding: rank candidate partners for every entry over the pool
     // (concurrent const reads of the index need no locking). Requiring
     // a meaningful number of shared seeds keeps extension rare.

@@ -455,18 +455,21 @@ Status Database::CreateKmerIndexImpl(const std::string& table_name,
         "kmer indexes require a nucseq column, '" + column + "' is " +
         col.type.ToString());
   }
-  GENALG_ASSIGN_OR_RETURN(index::KmerIndex empty,
-                          index::KmerIndex::Build({}, k));
-  auto idx = std::make_unique<KmerIndexData>(
-      KmerIndexData{column, col_idx, std::move(empty)});
-  // Backfill from existing rows.
+  // Backfill from existing rows with one bulk build.
+  std::vector<uint64_t> docs;
+  std::vector<seq::NucleotideSequence> sequences;
   GENALG_RETURN_IF_ERROR(ForEachRow(
-      *table->heap, [this, &idx, col_idx](RecordId rid, Row row) -> Status {
+      *table->heap, [&](RecordId rid, Row row) -> Status {
         GENALG_ASSIGN_OR_RETURN(seq::NucleotideSequence sequence,
                                 IndexedSequence(*adapter_, row[col_idx]));
-        idx->index.Add(KmerDoc(rid), sequence);
+        docs.push_back(KmerDoc(rid));
+        sequences.push_back(std::move(sequence));
         return Status::OK();
       }));
+  GENALG_ASSIGN_OR_RETURN(index::KmerIndex built,
+                          index::KmerIndex::Build(docs, sequences, k));
+  auto idx = std::make_unique<KmerIndexData>(
+      KmerIndexData{column, col_idx, std::move(built)});
   table->kmers.push_back(std::move(idx));
   return Status::OK();
 }

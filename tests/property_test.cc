@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "algebra/signature.h"
 #include "algebra/term.h"
@@ -21,6 +22,7 @@
 #include "gdt/ops.h"
 #include "index/kmer_index.h"
 #include "index/suffix_array.h"
+#include "obs/metrics.h"
 #include "seq/nucleotide_sequence.h"
 #include "udb/adapter.h"
 #include "udb/database.h"
@@ -329,7 +331,9 @@ TEST(SeedingProperty, ResemblingPairsAreSeeded) {
 // insert/update/delete churn — the index maintenance oracle. Some rows
 // carry N runs or a NULL sequence, UPDATE rewrites sequences as well as
 // keys, and contains() probes are cut from live rows, so a row missing
-// from the k-mer index changes an answer.
+// from the k-mer index changes an answer. `backfilled` gets its indexes
+// after the first rows load, so its k-mer index is churned from a bulk
+// base; one transaction is aborted on all three.
 TEST(SqlProperty, IndexedAndUnindexedAgreeUnderChurn) {
   algebra::SignatureRegistry registry;
   ASSERT_TRUE(algebra::RegisterStandardAlgebra(&registry).ok());
@@ -337,7 +341,9 @@ TEST(SqlProperty, IndexedAndUnindexedAgreeUnderChurn) {
   ASSERT_TRUE(udb::RegisterStandardUdts(&adapter).ok());
   udb::Database indexed(&adapter);
   udb::Database plain(&adapter);
-  for (udb::Database* db : {&indexed, &plain}) {
+  udb::Database backfilled(&adapter);
+  const std::vector<udb::Database*> dbs = {&plain, &indexed, &backfilled};
+  for (udb::Database* db : dbs) {
     ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT, s NUCSEQ)").ok());
   }
   ASSERT_TRUE(indexed.CreateBTreeIndex("t", "a").ok());
@@ -371,32 +377,54 @@ TEST(SqlProperty, IndexedAndUnindexedAgreeUnderChurn) {
     return pattern.find('N') == std::string::npos ? pattern : "";
   };
 
-  size_t matched_probes = 0;
-  for (int step = 0; step < 160; ++step) {
-    std::string statement;
+  auto random_statement = [&]() -> std::string {
     switch (rng.Uniform(5)) {
       case 0:
       case 1:
-        statement = "INSERT INTO t VALUES (" +
-                    std::to_string(rng.Uniform(15)) + ", " + random_cell() +
-                    ")";
-        break;
+        return "INSERT INTO t VALUES (" + std::to_string(rng.Uniform(15)) +
+               ", " + random_cell() + ")";
       case 2:
-        statement = "DELETE FROM t WHERE a = " +
-                    std::to_string(rng.Uniform(15));
-        break;
+        return "DELETE FROM t WHERE a = " + std::to_string(rng.Uniform(15));
       case 3:
-        statement = "UPDATE t SET a = " + std::to_string(rng.Uniform(15)) +
-                    " WHERE a = " + std::to_string(rng.Uniform(15));
-        break;
+        return "UPDATE t SET a = " + std::to_string(rng.Uniform(15)) +
+               " WHERE a = " + std::to_string(rng.Uniform(15));
       default:
-        statement = "UPDATE t SET s = " + random_cell() +
-                    " WHERE a = " + std::to_string(rng.Uniform(15));
-        break;
+        return "UPDATE t SET s = " + random_cell() +
+               " WHERE a = " + std::to_string(rng.Uniform(15));
     }
-    auto r1 = indexed.Execute(statement);
-    auto r2 = plain.Execute(statement);
-    ASSERT_EQ(r1.ok(), r2.ok()) << statement;
+  };
+  // Runs one statement on every database; all succeed or all fail.
+  auto run_all = [&](const std::string& statement) {
+    const bool ok = plain.Execute(statement).ok();
+    EXPECT_EQ(indexed.Execute(statement).ok(), ok) << statement;
+    EXPECT_EQ(backfilled.Execute(statement).ok(), ok) << statement;
+  };
+
+  for (int row = 0; row < 40; ++row) {
+    run_all("INSERT INTO t VALUES (" + std::to_string(rng.Uniform(15)) +
+            ", " + random_cell() + ")");
+  }
+  ASSERT_TRUE(backfilled.CreateBTreeIndex("t", "a").ok());
+  ASSERT_TRUE(backfilled.CreateKmerIndex("t", "s").ok());
+  obs::Counter* compactions =
+      obs::Registry::Global().GetCounter("index.kmer.compactions");
+  const uint64_t compactions_before = compactions->value();
+
+  size_t matched_probes = 0;
+  for (int step = 0; step < 160; ++step) {
+    if (step == 80) {
+      // An aborted transaction rebuilds every index from the heap.
+      std::vector<std::string> statements;
+      for (int i = 0; i < 4; ++i) statements.push_back(random_statement());
+      for (udb::Database* db : dbs) {
+        ASSERT_TRUE(db->Begin().ok());
+        for (const std::string& statement : statements) {
+          (void)db->Execute(statement);
+        }
+        ASSERT_TRUE(db->Abort().ok());
+      }
+    }
+    run_all(random_statement());
 
     if (step % 8 == 7) {
       // Probe through the index paths and compare.
@@ -410,19 +438,23 @@ TEST(SqlProperty, IndexedAndUnindexedAgreeUnderChurn) {
             pattern + "'))");
       }
       for (size_t p = 0; p < probes.size(); ++p) {
-        auto with_index = indexed.Execute(probes[p]);
         auto without = plain.Execute(probes[p]);
-        ASSERT_TRUE(with_index.ok() && without.ok())
-            << probes[p] << ": " << with_index.status().ToString() << " / "
-            << without.status().ToString();
-        EXPECT_EQ(with_index->rows, without->rows)
-            << probes[p] << " at step " << step;
+        ASSERT_TRUE(without.ok()) << probes[p];
+        for (udb::Database* db : {&indexed, &backfilled}) {
+          auto with_index = db->Execute(probes[p]);
+          ASSERT_TRUE(with_index.ok())
+              << probes[p] << ": " << with_index.status().ToString();
+          EXPECT_EQ(with_index->rows, without->rows)
+              << probes[p] << " at step " << step;
+        }
         if (p > 0 && *without->rows[0][0].AsInt() > 0) ++matched_probes;
       }
     }
   }
-  // The oracle only bites if the probes have rows to find.
+  // The oracle only bites if the probes have rows to find, and if the
+  // churn folds deltas into new bases.
   EXPECT_GE(matched_probes, 40u);
+  EXPECT_GT(compactions->value() - compactions_before, 0u);
 }
 
 // Aggregates must agree with hand-computed values over random data.
